@@ -21,6 +21,7 @@ from typing import Sequence
 from .codebook import (
     Codebook,
     CodebookFormatError,
+    codebook_document,
     load_codebook,
     min_distance,
     serialize_codebook,
@@ -146,13 +147,16 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
         rows: list[BlerRow] = []
         modes: set[str] = set()
         for line in reader:
+            for column in needed:
+                if not line[column]:
+                    raise ValueError(f"{path}: empty {column!r} cell on line {reader.line_num}")
             modes.add(line["mode"])
             rows.append(
                 BlerRow(
                     snr_db=float(line["snr_db"]),
                     bler=float(line["bler"]),
-                    ci95=float(line["ci95"]) if line["ci95"] else None,
-                    trials=int(line["trials"]) if line["trials"] else None,
+                    ci95=float(line["ci95"]),
+                    trials=int(line["trials"]),
                 )
             )
     if not rows:
@@ -194,7 +198,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     if args.report is not None:
         doc = {
             "succeeded": report.succeeded,
-            "best": json.loads(serialize_codebook(report.best)) if report.best else None,
+            "best": codebook_document(report.best) if report.best else None,
             "best_ones": report.best_ones,
             "generations_run": report.generations_run,
             "weight_history": list(report.weight_history),
@@ -241,12 +245,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "codebook": None,
     }
     if result.witness is not None:
-        payload["codebook"] = {
-            "n": result.witness.n,
-            "k": result.witness.k,
-            "d": result.witness.d,
-            "codewords": list(result.witness.bitstrings()),
-        }
+        payload["codebook"] = codebook_document(result.witness)
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -317,12 +316,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         "throughput": decision.throughput,
         "energy_per_bit": decision.energy_per_bit,
         "energy_per_time": decision.energy_per_time,
-        "codebook": {
-            "n": decision.codebook.n,
-            "k": decision.codebook.k,
-            "d": decision.codebook.d,
-            "codewords": list(decision.codebook.bitstrings()),
-        },
+        "codebook": codebook_document(decision.codebook),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
@@ -331,7 +325,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="Monte Carlo worker threads (default 1); only bler and sweep use it, "
+                     "design, validate, oracle and select ignore it")
 
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:

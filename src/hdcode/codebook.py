@@ -2,17 +2,17 @@
 
 Codewords are fixed-length bit vectors stored as integers, most significant
 bit first, so integer order coincides with lexicographic order on the
-bitstrings.  A codebook bundles codewords with its design parameters
-(n, k, d): length n, a target of 2**k codewords, and a minimum pairwise
-Hamming distance of d.
+bitstrings.  A codebook is a sorted tuple of such integers together with
+its design parameters (n, k, d): length n, a target of 2**k codewords, and
+a minimum pairwise Hamming distance of d.  `Codeword` wraps one value for
+the single-word API (encoding, message order, recombination anchors).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,17 +64,19 @@ def hamming_distance(x: Codeword, y: Codeword) -> int:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Distinct equal-length codewords under a (n, k, d) design contract.
+    """Distinct length-n words under a (n, k, d) design contract.
 
-    Codewords are kept sorted lexicographically so codebook equality is
-    structural.  Construction checks parameter sanity and distinctness only;
-    the O(m^2 n) pairwise-distance invariant is checked by validate().
+    The words are stored only as `values`, a sorted tuple of ints (MSB
+    first), so codebook equality and hashing are structural.  Construction
+    checks the parameter domain, that every value fits in n bits, and
+    distinctness; the O(m^2 n) pairwise-distance invariant is checked by
+    validate().
     """
 
     n: int
     k: int
     d: int
-    codewords: tuple[Codeword, ...] = field(default=())
+    values: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
@@ -83,26 +85,26 @@ class Codebook:
             raise ValueError(f"d must satisfy 0 < d <= n, got d={self.d} n={self.n}")
         if not 0 < self.k <= self.n:
             raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k} n={self.n}")
-        words = tuple(sorted(self.codewords))
-        for w in words:
-            if w.n != self.n:
-                raise ValueError(f"codeword {w} has length {w.n}, codebook has n={self.n}")
-        if len(set(words)) != len(words):
-            raise ValueError("duplicate codewords")
-        object.__setattr__(self, "codewords", words)
+        values = tuple(sorted(self.values))
+        if values and not (0 <= values[0] and values[-1] < (1 << self.n)):
+            raise ValueError(f"codeword values must fit in n={self.n} bits")
+        if len(set(values)) != len(values):
+            dup = next(a for a, b in zip(values, values[1:]) if a == b)
+            raise ValueError(f"duplicate codeword {dup:0{self.n}b}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, n: int, k: int, d: int, values: Iterable[int]) -> "Codebook":
         """Build from raw integer codeword values, deduplicating."""
-        return cls(n=n, k=k, d=d, codewords=tuple(Codeword(n, v) for v in sorted(set(values))))
+        return cls(n, k, d, tuple(set(values)))
 
-    @cached_property
-    def values(self) -> tuple[int, ...]:
-        return tuple(w.value for w in self.codewords)
+    @property
+    def codewords(self) -> tuple[Codeword, ...]:
+        return tuple(Codeword(self.n, v) for v in self.values)
 
     @property
     def m(self) -> int:
-        return len(self.codewords)
+        return len(self.values)
 
     @property
     def size_target(self) -> int:
@@ -113,7 +115,8 @@ class Codebook:
         return self.m >= self.size_target
 
     def bitstrings(self) -> tuple[str, ...]:
-        return tuple(str(w) for w in self.codewords)
+        fmt = f"0{self.n}b"
+        return tuple(format(v, fmt) for v in self.values)
 
     def validate(self) -> None:
         """Check the pairwise-distance invariant, naming the first violating pair."""
@@ -140,7 +143,7 @@ def distance_to_codebook(x: Codeword, book: Codebook) -> float:
     """Minimum Hamming distance from x to any codeword; inf for an empty codebook."""
     if x.n != book.n:
         raise ValueError(f"length mismatch: codeword n={x.n}, codebook n={book.n}")
-    if not book.codewords:
+    if not book.values:
         return math.inf
     xv = x.value
     return min((xv ^ v).bit_count() for v in book.values)
@@ -158,7 +161,7 @@ def min_distance(book: Codebook) -> int:
 
 def total_ones(book: Codebook) -> int:
     """Sum of Hamming weights over all codewords (the quantity maximized)."""
-    return sum(w.weight for w in book.codewords)
+    return sum(v.bit_count() for v in book.values)
 
 
 def positions_to_mask(positions: Iterable[int], n: int) -> int:
@@ -189,6 +192,11 @@ def lex_successor(x: Codeword) -> Codeword:
     return Codeword(x.n, x.value + 1)
 
 
+def _by_weight(values: Iterable[int]) -> list[int]:
+    """Heaviest first; ties go to the lexicographically larger word."""
+    return sorted(values, key=lambda v: (-v.bit_count(), -v))
+
+
 def finalize(book: Codebook) -> Codebook:
     """Reduce to the 2**k heaviest codewords.
 
@@ -200,13 +208,12 @@ def finalize(book: Codebook) -> Codebook:
         raise ValueError(
             f"incomplete codebook: {book.m} codewords, finalize needs at least {target}"
         )
-    ranked = sorted(book.codewords, key=lambda w: (-w.weight, -w.value))
-    return Codebook(book.n, book.k, book.d, tuple(ranked[:target]))
+    return Codebook(book.n, book.k, book.d, tuple(_by_weight(book.values)[:target]))
 
 
 def message_order(book: Codebook) -> tuple[Codeword, ...]:
     """Codewords in message-index order: heaviest first, lexicographically larger first on ties."""
-    return tuple(sorted(book.codewords, key=lambda w: (-w.weight, -w.value)))
+    return tuple(Codeword(book.n, v) for v in _by_weight(book.values))
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -227,36 +234,27 @@ def parse_codebook(text: str) -> Codebook:
     raw = doc["codewords"]
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise CodebookFormatError("field 'codewords' must be a list of bitstrings")
-    words = []
     for s in raw:
-        if len(s) != n or any(ch not in "01" for ch in s):
+        if len(s) != n or not set(s) <= {"0", "1"}:
             raise CodebookFormatError(
                 f"malformed bitstring {s!r}: expected exactly {n} characters over '0'/'1'"
             )
-        words.append(Codeword.from_string(s))
-    if len(set(words)) != len(words):
-        seen: set[Codeword] = set()
-        for w in words:
-            if w in seen:
-                raise CodebookFormatError(f"duplicate codeword {w}")
-            seen.add(w)
     try:
-        book = Codebook(n=n, k=k, d=d, codewords=tuple(words))
+        book = Codebook(n, k, d, tuple(int(s, 2) for s in raw))
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
     book.validate()
     return book
 
 
+def codebook_document(book: Codebook) -> dict:
+    """The JSON object of a codebook: its parameters and MSB-first bitstrings."""
+    return {"n": book.n, "k": book.k, "d": book.d, "codewords": list(book.bitstrings())}
+
+
 def serialize_codebook(book: Codebook) -> str:
     """Render the canonical JSON document (keys sorted, codewords in stored order)."""
-    doc = {
-        "n": book.n,
-        "k": book.k,
-        "d": book.d,
-        "codewords": book.bitstrings(),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(codebook_document(book), sort_keys=True, indent=2) + "\n"
 
 
 def load_codebook(path) -> Codebook:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .codebook import Codebook, Codeword, message_order, min_distance
+from .codebook import Codebook, Codeword, _by_weight, message_order, min_distance
 from .oracle import exact_distance_spectrum
 
 SHARD_SIZE = 1 << 14
@@ -86,8 +86,8 @@ def modulated_matrix(book: Codebook, params: ChannelParams) -> np.ndarray:
         raise ValueError(
             f"modulation requires exactly 2**k = {book.size_target} codewords, got {book.m}"
         )
-    order = message_order(book)
-    bits = np.array([w.bits for w in order], dtype=np.float64)
+    order = np.asarray(_by_weight(book.values), dtype=np.int64)
+    bits = (order[:, None] >> np.arange(book.n - 1, -1, -1)) & 1
     return bits * params.amplitude
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, Codeword, finalize, positions_to_mask, total_ones
+from .codebook import Codebook, Codeword, finalize, mutate, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -57,14 +57,6 @@ class DesignConfig:
             raise ValueError("max_generations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-
-
-@dataclass(frozen=True)
-class CodebookWeight:
-    """Ones count of a codebook together with its selection fitness."""
-
-    total_ones: int
-    effective_weight: Fraction
 
 
 @dataclass(frozen=True)
@@ -148,10 +140,8 @@ def local_search(book: Codebook, positions: Iterable[int]) -> Codebook:
     isometry the result contains the original codebook and keeps distance d,
     while different position sets reach different maximal codebooks.
     """
-    mask = positions_to_mask(positions, book.n)
-    mutated = Codebook.from_values(book.n, book.k, book.d, (v ^ mask for v in book.values))
-    extended = extend_codebook(mutated)
-    return Codebook.from_values(book.n, book.k, book.d, (v ^ mask for v in extended.values))
+    positions = tuple(positions)
+    return mutate(extend_codebook(mutate(book, positions)), positions)
 
 
 def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
@@ -161,18 +151,21 @@ def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
     count of its best 2**k-subset, so oversize codebooks are not favored for
     bulk alone.  With literal=True the raw total is used instead.
     """
-    if book.m == 0:
+    m, target = book.m, book.size_target
+    if m == 0:
         return Fraction(0)
-    ones = total_ones(book)
-    if book.m < book.size_target:
-        return Fraction(ones * book.size_target, book.m)
+    if m < target:
+        return Fraction(total_ones(book) * target, m)
     if literal:
-        return Fraction(ones)
-    return Fraction(total_ones(finalize(book)))
+        return Fraction(total_ones(book))
+    return Fraction(_best_subset_ones(book))
 
 
-def codebook_weight(book: Codebook, literal: bool = False) -> CodebookWeight:
-    return CodebookWeight(total_ones(book), effective_weight(book, literal))
+def _best_subset_ones(book: Codebook) -> int:
+    """Ones count of finalize(book): the 2**k largest weights, whatever the tie-break."""
+    cut = book.m - book.size_target
+    weights = np.bitwise_count(np.asarray(book.values, dtype=np.uint32))
+    return int(np.partition(weights, cut)[cut:].sum())
 
 
 def initial_population(
@@ -351,10 +344,9 @@ def _best_complete(
 ) -> tuple[Codebook | None, int | None]:
     for book in population.codebooks:
         if book.is_complete:
-            candidate = finalize(book)
-            ones = total_ones(candidate)
+            ones = _best_subset_ones(book)
             if best_ones is None or ones > best_ones:
-                best, best_ones = candidate, ones
+                best, best_ones = finalize(book), ones
     return best, best_ones
 
 

@@ -114,16 +114,20 @@ class TestCodebook:
         assert not book.is_valid()
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook(3, 2, 1, (Codeword(3, 5), Codeword(3, 5)))
+        with pytest.raises(ValueError, match="duplicate"):
+            Codebook(3, 2, 1, (5, 5))
 
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook(3, 2, 1, (Codeword(3, 5), Codeword(4, 5)))
+    def test_out_of_range_value_rejected(self):
+        with pytest.raises(ValueError, match="fit in n=3 bits"):
+            Codebook(3, 2, 1, (5, 8))
+        with pytest.raises(ValueError, match="fit in n=3 bits"):
+            Codebook(3, 2, 1, (-1, 5))
 
     def test_codewords_canonically_sorted(self):
-        book = Codebook.from_values(3, 2, 1, [0b110, 0b001])
+        book = Codebook.from_values(3, 2, 1, [0b110, 0b001, 0b110])
         assert book.values == (0b001, 0b110)
+        assert book.codewords == (Codeword(3, 0b001), Codeword(3, 0b110))
+        assert Codebook(3, 2, 1, (0b110, 0b001)) == book
 
     def test_empty_distance_is_infinite(self):
         empty = Codebook(n=4, k=2, d=2)
@@ -201,6 +205,25 @@ class TestFinalize:
         book = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
         order = message_order(book)
         assert [w.value for w in order] == [0b111, 0b110, 0b101, 0b011]
+
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, min(n, 4)),
+            st.sets(st.integers(0, (1 << n) - 1), max_size=min(40, 1 << n)),
+        )
+    ))
+    def test_ranking_matches_sorted_reference(self, case):
+        """Differential check of finalize and message_order against plain sorting."""
+        n, k, values = case
+        book = Codebook.from_values(n, k, 1, values)
+        ranked = sorted(values, key=lambda v: (-v.bit_count(), -v))
+        assert message_order(book) == tuple(Codeword(n, v) for v in ranked)
+        if len(values) < 1 << k:
+            with pytest.raises(ValueError):
+                finalize(book)
+        else:
+            assert finalize(book).values == tuple(sorted(ranked[: 1 << k]))
 
 
 class TestSerialization:

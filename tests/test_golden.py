@@ -1,0 +1,58 @@
+"""Golden outputs for fixed seeds: a refactor of the codebook or search layers
+must reproduce these reports and simulation counts exactly.
+
+Weight histories are stored run-length encoded as (fitness, generations).
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from hdcode import ChannelParams, Codebook, serialize_codebook, simulate_bler
+from hdcode.search import DesignConfig, genetic_local_search
+
+DESIGN_GOLDEN = [
+    ((7, 3, 3), 0, 37, 21, [(36, 1), (37, 21)],
+     "b948b5ef9c022270e3b3098e31a752162de78a10528ec7b8b1afc4a2f8e40eea"),
+    ((7, 3, 3), 1, 37, 20, [(37, 21)],
+     "1c41ff13f59e800d811a93398d30e172bcde61c387dece063fac4038625d60ff"),
+    ((7, 3, 3), 2, 37, 20, [(37, 21)],
+     "c7b6127157bd359758bcbe0d40c8818ab623b9d3d370374d9c0b24a6996ba4eb"),
+    ((10, 3, 4), 0, 58, 20, [(58, 21)],
+     "0781f1bdca5939014582ce8fb96de47b0d7a3b10360f2c4d7ef1d5cb020503b5"),
+    ((10, 3, 4), 1, 58, 21, [(56, 1), (58, 21)],
+     "276173385ee13bcb15c245cf5ec835f5d3add03e2fdb684571cec13c79031ad6"),
+    ((10, 3, 4), 2, 58, 20, [(58, 21)],
+     "e2f9e190df79f961c083b7d9922ea396d43d7b76e43c18aa21c6a69077cace58"),
+    ((10, 5, 3), 0, 203, 25, [(201, 4), (202, 1), (203, 21)],
+     "eb737528498faa5479d13f4e7020792a4e0537cb0fd8cc4f4ac0db52e3aef2c4"),
+    ((10, 5, 3), 1, 200, 26, [(198, 2), (199, 4), (200, 21)],
+     "820d566239d49b593b4413e1000f35726507dfc31d92a72c3777be43fe719858"),
+    ((10, 5, 3), 2, 204, 78,
+     [(198, 13), (199, 12), (200, 10), (202, 9), (203, 14), (204, 21)],
+     "65ff17accc461055960c9ca84cc9f1de568c0e3c1655a4872564ef1067eae7b3"),
+]
+
+# a (7, 3, 3) codebook and its Monte Carlo error counts at seed 7, 40000 trials
+SIM_BOOK = (7, 3, 3, [0b0000000, 0b1110000, 0b1001100, 0b0111100,
+                      0b0101010, 0b1011010, 0b1100110, 0b0010110])
+SIM_GOLDEN = [(0.0, 6011), (2.0, 2261), (4.0, 510)]
+
+
+@pytest.mark.parametrize("instance, seed, ones, generations, history, digest", DESIGN_GOLDEN)
+def test_design_report_pinned(instance, seed, ones, generations, history, digest):
+    report = genetic_local_search(*instance, DesignConfig(seed=seed))
+    assert report.best_ones == ones
+    assert report.generations_run == generations
+    runs = [(w, len(list(g))) for w, g in itertools.groupby(report.weight_history)]
+    assert runs == history
+    text = serialize_codebook(report.best)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("snr_db, errors", SIM_GOLDEN)
+def test_simulation_errors_pinned(snr_db, errors):
+    book = Codebook.from_values(*SIM_BOOK)
+    estimate = simulate_bler(book, ChannelParams(snr_db), trials=40000, seed=7)
+    assert estimate.errors == errors

@@ -53,6 +53,15 @@ def small_books(draw, n, k, d):
 
 
 @st.composite
+def random_books(draw):
+    """Codebooks of any size around 2**k; the distance floor is not enforced."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 4)))
+    values = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=min(40, 1 << n)))
+    return Codebook.from_values(n, k, 1, values)
+
+
+@st.composite
 def parent_pairs(draw):
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, min(3, n)))
@@ -132,6 +141,23 @@ class TestEffectiveWeight:
 
     def test_empty_book_has_zero_weight(self):
         assert effective_weight(Codebook(n=4, k=2, d=1)) == 0
+
+    @given(random_books(), st.booleans())
+    def test_matches_sorted_reference(self, book, literal):
+        """Differential check against a plain-Python ranking of the values."""
+        ranked = sorted(book.values, key=lambda v: (-v.bit_count(), -v))
+        ones = [v.bit_count() for v in ranked]
+        if book.m == 0:
+            expected = Fraction(0)
+        elif book.m < book.size_target:
+            expected = Fraction(sum(ones) * book.size_target, book.m)
+        elif literal:
+            expected = Fraction(sum(ones))
+        else:
+            expected = Fraction(sum(ones[: book.size_target]))
+        weight = effective_weight(book, literal)
+        assert type(weight) is Fraction
+        assert weight == expected
 
 
 class TestParentProbabilities:
