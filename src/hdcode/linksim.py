@@ -7,7 +7,9 @@ channel, trials, seed) no matter how many threads execute the shards.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +21,17 @@ from .oracle import exact_distance_spectrum
 
 SHARD_SIZE = 1 << 14
 
+# Byte budget for one block's (rows, 2**k) float64 score matrix; a shard whose
+# scores would exceed it is decoded in row blocks (never fewer than one row).
+# A 256 KiB block stays in cache, and its product is small enough that
+# OpenBLAS computes it on the calling thread. Larger blocks make OpenBLAS
+# start its own threads, which contend with the shard pool: at 4 MiB, two
+# pool threads ran slower than one on a 2-core machine.
+SCORE_BUDGET_BYTES = 1 << 18
+
 _U64 = (1 << 64) - 1
+
+logger = logging.getLogger("hdcode.linksim")
 
 
 @dataclass(frozen=True)
@@ -103,14 +115,32 @@ def encode(message: int, book: Codebook) -> Codeword:
     return order[message]
 
 
+def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """ML message index for each row of `received`; ties go to the lowest index.
+
+    Since |r - c|^2 = |r|^2 - 2 r.c + |c|^2, the nearest codeword maximizes
+    the score r.c - |c|^2 / 2: one matrix product per block of rows, with
+    each block's (rows, 2**k) score matrix kept within SCORE_BUDGET_BYTES.
+    """
+    half_norms = 0.5 * np.square(mod).sum(axis=1)
+    rows = max(1, SCORE_BUDGET_BYTES // (mod.itemsize * len(mod)))
+    scores = np.empty((min(rows, len(received)), len(mod)))
+    decoded = np.empty(len(received), dtype=np.intp)
+    for start in range(0, len(received), rows):
+        block = scores[: len(received) - start]
+        np.matmul(received[start : start + rows], mod.T, out=block)
+        block -= half_norms
+        block.argmax(axis=1, out=decoded[start : start + rows])
+    return decoded
+
+
 def ml_decode(received: np.ndarray, book: Codebook, params: ChannelParams) -> int:
     """Message index minimizing Euclidean distance; ties go to the lowest index."""
     received = np.asarray(received, dtype=np.float64)
     mod = modulated_matrix(book, params)
     if received.shape != (book.n,):
         raise ValueError(f"received vector must have shape ({book.n},)")
-    diffs = mod - received[None, :]
-    return int(np.einsum("mn,mn->m", diffs, diffs).argmin())
+    return int(_ml_messages(received[None, :], mod)[0])
 
 
 def _shard_errors(
@@ -119,10 +149,9 @@ def _shard_errors(
     key = np.array([seed & _U64, shard_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     messages = rng.integers(0, mod.shape[0], size=count)
-    received = mod[messages] + rng.normal(0.0, sigma, size=(count, n))
-    diffs = received[:, None, :] - mod[None, :, :]
-    decoded = np.einsum("tmn,tmn->tm", diffs, diffs).argmin(axis=1)
-    return int(np.count_nonzero(decoded != messages))
+    received = rng.normal(0.0, sigma, size=(count, n))
+    received += mod[messages]
+    return int(np.count_nonzero(_ml_messages(received, mod) != messages))
 
 
 def simulate_bler(
@@ -150,11 +179,17 @@ def simulate_bler(
         idx, count = shard
         return _shard_errors(mod, sigma, book.n, seed, idx, count)
 
+    start = time.perf_counter()
     if threads == 1 or len(shards) == 1:
         errors = sum(run(s) for s in shards)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             errors = sum(pool.map(run, shards))
+    seconds = time.perf_counter() - start
+    logger.debug(
+        "simulated %d trials in %d shards on %d threads: %.3f s, %.0f trials/s",
+        trials, len(shards), threads, seconds, trials / seconds,
+    )
     return BlerEstimate.from_counts(errors, trials)
 
 

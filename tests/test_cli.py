@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hdcode import parse_codebook, total_ones
+from hdcode import Codebook, parse_codebook, serialize_codebook, total_ones
 from hdcode.cli import CliUsageError, main, parse_rule, parse_snr_grid
 
 
@@ -270,3 +270,16 @@ class TestProcessLevel:
         assert out_quiet.read_bytes() == out_loud.read_bytes()
         assert "design done" in loud.stderr
         assert "design done" not in quiet.stderr
+
+    def test_debug_log_reports_simulation_throughput(self, tmp_path):
+        book = tmp_path / "book.json"
+        book.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [7, 6, 5, 3])))
+        args = ("bler", "--codebook", str(book), "--snr-db", "2", "--mode", "sim",
+                "--trials", "1000")
+        quiet = run_cli(*args)
+        loud = run_cli(*args, env={"HDCODE_LOG": "debug"})
+        assert quiet.returncode == loud.returncode == 0
+        assert quiet.stdout == loud.stdout
+        assert quiet.stderr == ""
+        assert "simulated 1000 trials in 1 shards on 1 threads" in loud.stderr
+        assert "trials/s" in loud.stderr

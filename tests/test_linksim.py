@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,18 @@ from hdcode import (
     theoretical_bler_dominant,
     theoretical_bler_union,
 )
+from hdcode import linksim
+from hdcode.codebook import min_distance
 from hdcode.linksim import SHARD_SIZE, modulated_matrix
 
 REPETITION_PAIR = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
 DENSE_3_2 = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
 # four length-4 words with every pairwise distance exactly 2
 EQUIDISTANT_4_2 = Codebook.from_values(4, 2, 2, [0b0000, 0b0011, 0b0101, 0b0110])
+# every word of its length: the largest books for k = 5, 8 and 12
+ALL_WORDS_5 = Codebook.from_values(5, 5, 1, range(1 << 5))
+ALL_WORDS_8 = Codebook.from_values(8, 8, 1, range(1 << 8))
+ALL_WORDS_12 = Codebook.from_values(12, 12, 1, range(1 << 12))
 
 
 def density_decode(received, book, params):
@@ -34,6 +42,35 @@ def density_decode(received, book, params):
         if log_density > best_log:
             best_index, best_log = i, log_density
     return best_index
+
+
+def einsum_decode(received, book, params):
+    """Reference ML rule: the squared Euclidean distance to every codeword."""
+    diffs = modulated_matrix(book, params) - received[None, :]
+    return int(np.einsum("mn,mn->m", diffs, diffs).argmin())
+
+
+def einsum_shard_errors(mod, sigma, n, seed, shard_index, count):
+    """Reference shard: the same Philox key and draw order, decoded through a
+    (count, 2**k, n) difference tensor."""
+    key = np.array([seed, shard_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    messages = rng.integers(0, mod.shape[0], size=count)
+    received = mod[messages] + rng.normal(0.0, sigma, size=(count, n))
+    diffs = received[:, None, :] - mod[None, :, :]
+    decoded = np.einsum("tmn,tmn->tm", diffs, diffs).argmin(axis=1)
+    return int(np.count_nonzero(decoded != messages))
+
+
+@st.composite
+def complete_books(draw):
+    """Random complete codebooks with n <= 10, k <= 5 and a d they satisfy."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 10))
+    values = draw(st.permutations(range(1 << n)))[: 1 << k]
+    book = Codebook.from_values(n, k, 1, values)
+    d = draw(st.integers(1, min_distance(book)))
+    return Codebook.from_values(n, k, d, values)
 
 
 class TestChannelParams:
@@ -120,6 +157,16 @@ class TestEncodeDecode:
             received, EQUIDISTANT_4_2, params
         )
 
+    @given(complete_books(), st.floats(-2.0, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_einsum_decoder(self, book, snr, seed):
+        params = ChannelParams(snr)
+        rng = np.random.default_rng(seed)
+        mod = modulated_matrix(book, params)
+        for message in rng.integers(0, book.m, size=8):
+            received = mod[message] + rng.normal(0.0, params.noise_sigma, size=book.n)
+            assert ml_decode(received, book, params) == einsum_decode(received, book, params)
+
 
 class TestBlerEstimate:
     def test_point_is_exact_ratio(self):
@@ -148,6 +195,59 @@ class TestSimulateBler:
         single = simulate_bler(REPETITION_PAIR, params, 50_000, seed=3, threads=1)
         pooled = simulate_bler(REPETITION_PAIR, params, 50_000, seed=3, threads=4)
         assert single == pooled
+
+    @pytest.mark.parametrize("book", [ALL_WORDS_5, ALL_WORDS_8], ids=["k5", "k8"])
+    def test_thread_count_does_not_change_result_at_realistic_k(self, book):
+        # several shards, the last one partial, so that worker threads run
+        # matrix products concurrently
+        params = ChannelParams(6.0)
+        trials = 3 * SHARD_SIZE + 123
+        single = simulate_bler(book, params, trials, seed=8, threads=1)
+        pooled = simulate_bler(book, params, trials, seed=8, threads=4)
+        assert single == pooled
+        assert 0 < single.errors < trials
+
+    @given(complete_books(), st.floats(-2.0, 10.0), st.integers(0, 2**64 - 1),
+           st.integers(0, 1000), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_shard_matches_einsum_reference(self, book, snr, seed, shard_index, count):
+        params = ChannelParams(snr)
+        mod = modulated_matrix(book, params)
+        args = (mod, params.noise_sigma, book.n, seed, shard_index, count)
+        assert linksim._shard_errors(*args) == einsum_shard_errors(*args)
+
+    def test_shard_memory_is_bounded(self):
+        # the einsum decoder built a (SHARD_SIZE, 4096, 12) float64 tensor
+        # here, 6.4 GB, and one unsplit score matrix would be 512 MiB; the
+        # shard now holds one 256 KiB score block and at most two
+        # (SHARD_SIZE, 12) float64 arrays of 1.5 MiB
+        params = ChannelParams(4.0)
+        tracemalloc.start()
+        try:
+            simulate_bler(ALL_WORDS_12, params, SHARD_SIZE, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_row_blocks_do_not_change_result(self, monkeypatch):
+        params = ChannelParams(4.0)
+        trials = 2 * SHARD_SIZE + 77
+        score_row = 8 * ALL_WORDS_8.m
+        monkeypatch.setattr(linksim, "SCORE_BUDGET_BYTES", SHARD_SIZE * score_row)
+        whole = simulate_bler(ALL_WORDS_8, params, trials, seed=11)
+        # 100 rows per block: 164 blocks in a full shard, the last one short
+        monkeypatch.setattr(linksim, "SCORE_BUDGET_BYTES", 100 * score_row)
+        assert simulate_bler(ALL_WORDS_8, params, trials, seed=11) == whole
+
+    def test_logs_throughput_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hdcode.linksim"):
+            simulate_bler(DENSE_3_2, ChannelParams(2.0), 2 * SHARD_SIZE + 5, seed=1, threads=2)
+        [record] = [r for r in caplog.records if r.name == "hdcode.linksim"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for part in (f"{2 * SHARD_SIZE + 5} trials", "3 shards", "2 threads", "trials/s"):
+            assert part in message
 
     def test_seed_changes_result(self):
         params = ChannelParams(0.0)
