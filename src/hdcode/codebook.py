@@ -153,8 +153,7 @@ def min_distance(book: Codebook) -> int:
     """Minimum pairwise Hamming distance over all distinct codeword pairs."""
     if book.m < 2:
         raise ValueError("min distance is undefined for fewer than 2 codewords")
-    vals = np.asarray(book.values, dtype=np.uint32)
-    dists = np.bitwise_count(vals[:, None] ^ vals[None, :])
+    dists = pairwise_distance_counts(book.values)
     np.fill_diagonal(dists, np.iinfo(dists.dtype).max)
     return int(dists.min())
 
@@ -268,6 +267,6 @@ def save_codebook(book: Codebook, path) -> None:
 
 
 def pairwise_distance_counts(values: Sequence[int]) -> np.ndarray:
-    """Matrix of pairwise Hamming distances between integer codeword values."""
+    """Matrix of pairwise Hamming distances between integer codeword values, as uint8."""
     vals = np.asarray(values, dtype=np.uint32)
-    return np.bitwise_count(vals[:, None] ^ vals[None, :]).astype(np.int64)
+    return np.bitwise_count(vals[:, None] ^ vals[None, :])

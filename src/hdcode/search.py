@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,17 +92,79 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *key])))
 
 
-@lru_cache(maxsize=None)
-def _ball_masks(n: int, radius: int) -> np.ndarray:
-    """XOR masks reaching every word within Hamming distance `radius`."""
-    masks = [0]
-    for w in range(1, radius + 1):
-        for combo in combinations(range(n), w):
-            m = 0
-            for b in combo:
-                m |= 1 << b
-            masks.append(m)
-    return np.asarray(masks, dtype=np.uint32)
+# extend_codebook keeps the blocked words in a bitset of uint64 blocks:
+# block j holds words 64j ... 64j + 63, word 64j + b at bit b.  A word's high
+# part (w >> 6) picks its block and its low part (w & 63) its bit.
+_LOW_BITS = 6
+_FULL = (1 << 64) - 1
+
+
+@lru_cache(maxsize=1)
+def _low_balls() -> np.ndarray:
+    """(64, 7) uint64 table: entry [x, s] sets bit y for each y with popcount(x ^ y) <= s."""
+    low = np.arange(1 << _LOW_BITS, dtype=np.uint64)
+    dist = np.bitwise_count(low[:, None] ^ low[None, :])
+    bits = np.uint64(1) << low
+    columns = [(bits * (dist <= s)).sum(axis=1, dtype=np.uint64) for s in range(_LOW_BITS + 1)]
+    table = np.stack(columns, axis=1)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _ball_rows(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks h of the radius ball around 0, and min(6, radius - popcount(h)).
+
+    The ball around x is that ball translated by XOR: in block h ^ (x >> 6)
+    it holds the low parts within min(6, radius - popcount(h)) of x & 63.
+    """
+    high = np.arange(1 << max(0, n - _LOW_BITS))
+    weight = np.bitwise_count(high)
+    inside = weight <= radius
+    rows, radii = high[inside], np.minimum(radius - weight[inside], _LOW_BITS)
+    rows.setflags(write=False)
+    radii.setflags(write=False)
+    return rows, radii
+
+
+def _high_dilate(bits: np.ndarray) -> np.ndarray:
+    """OR every block with the blocks whose index differs from its own in one bit."""
+    out = bits.copy()
+    for i in range(bits.size.bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << i)
+        np.bitwise_or(pairs, bits.reshape(-1, 2, 1 << i)[:, ::-1], out=pairs)
+    return out
+
+
+def _balls_bitset(values: Sequence[int], n: int, radius: int) -> np.ndarray:
+    """Bitset of every word within `radius` of some word of `values`.
+
+    With A_s the radius-s low-part balls of the words ORed into their own
+    blocks and H one high-part dilation, the radius-r balls are
+    A_r | H(A_(r-1) | H(... | H(A_0))): r rounds over the whole bitset,
+    whatever the number of words.
+    """
+    bits = np.zeros(1 << max(0, n - _LOW_BITS), dtype=np.uint64)
+    if not values:
+        return bits
+    words = np.asarray(values, dtype=np.intp)
+    blocks, low = words >> _LOW_BITS, _low_balls()[words & 63]
+    for s in range(radius + 1):
+        if s:
+            bits = _high_dilate(bits)
+        np.bitwise_or.at(bits, blocks, low[:, min(s, _LOW_BITS)])
+    return bits
+
+
+def _first_free(bits: np.ndarray, j: int) -> int | None:
+    """Lowest word outside the bitset in block j or later, or None."""
+    block = int(bits[j])
+    if block == _FULL:
+        j += int((bits[j:] != _FULL).argmax())
+        block = int(bits[j])
+        if block == _FULL:
+            return None
+    return (j << _LOW_BITS) | ((~block & (block + 1)).bit_length() - 1)
 
 
 def extend_codebook(book: Codebook) -> Codebook:
@@ -111,24 +172,30 @@ def extend_codebook(book: Codebook) -> Codebook:
 
     Every word from 0...0 to 1...1 is added exactly when it keeps the minimum
     distance >= d.  The output contains the input, and no word of length n can
-    be added to it without violating d.  Implemented by blocking the radius
-    (d-1) ball around each member, which is equivalent to the distance test.
+    be added to it without violating d.
+
+    The blocked words, those within d-1 of a member, are the set bits of a
+    bitset of max(1, 2**(n-6)) uint64 blocks; for n < 6 the bits past 2**n
+    are set from the start.  The input book's balls are set by d-1 rounds of
+    hypercube dilation.  The ball around an added word x is the ball around
+    0 translated by XOR: each of its blocks h gets one 64-bit low-part set
+    from a (64, 7) table, at row x & 63 and column min(6, d-1 - popcount(h)),
+    ORed into block h ^ (x >> 6).  Every word below x is then blocked, so the
+    next candidate is the lowest clear bit from x's block on.  Memory is
+    O(2**(n-6)) 8-byte words; no ball is enumerated word by word.
     """
     n, d = book.n, book.d
-    size = 1 << n
-    blocked = np.zeros(size, dtype=bool)
-    masks = _ball_masks(n, d - 1)
+    rows, radii = _ball_rows(n, d - 1)
+    balls = _low_balls()
+    bits = _balls_bitset(book.values, n, d - 1)
+    if n < _LOW_BITS:
+        bits[0] |= np.uint64(_FULL ^ ((1 << (1 << n)) - 1))
     values = list(book.values)
-    for v in values:
-        blocked[masks ^ np.uint32(v)] = True
-    x = 0
-    while x < size:
-        x += int(blocked[x:].argmin())
-        if blocked[x]:
-            break
+    x = _first_free(bits, 0)
+    while x is not None:
         values.append(x)
-        blocked[masks ^ np.uint32(x)] = True
-        x += 1
+        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].take(radii)
+        x = _first_free(bits, x >> _LOW_BITS)
     return Codebook.from_values(n, book.k, d, values)
 
 

@@ -1,5 +1,9 @@
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +17,7 @@ from hdcode import (
     initial_population,
     local_search,
     min_distance,
+    mutate,
     parent_probabilities,
     recombination,
     recombine_pair,
@@ -20,6 +25,7 @@ from hdcode import (
     stop_check,
     total_ones,
 )
+from hdcode import search
 from hdcode.search import (
     DesignConfig,
     GenerationRecord,
@@ -38,6 +44,35 @@ def naive_extend(book):
     return Codebook.from_values(book.n, book.k, book.d, values)
 
 
+def ball_masks(n, radius):
+    """XOR masks reaching every word within Hamming distance `radius`."""
+    masks = [0]
+    for w in range(1, radius + 1):
+        for combo in combinations(range(n), w):
+            masks.append(sum(1 << b for b in combo))
+    return np.asarray(masks, dtype=np.uint32)
+
+
+def ball_scatter_extend(book):
+    """Reference kernel: a bool array of all 2**n words and one scatter per ball."""
+    n, d = book.n, book.d
+    size = 1 << n
+    blocked = np.zeros(size, dtype=bool)
+    masks = ball_masks(n, d - 1)
+    values = list(book.values)
+    for v in values:
+        blocked[masks ^ np.uint32(v)] = True
+    x = 0
+    while x < size:
+        x += int(blocked[x:].argmin())
+        if blocked[x]:
+            break
+        values.append(x)
+        blocked[masks ^ np.uint32(x)] = True
+        x += 1
+    return Codebook.from_values(n, book.k, d, values)
+
+
 def greedy_filter(n, d, values):
     kept = []
     for v in values:
@@ -50,6 +85,16 @@ def small_books(draw, n, k, d):
     raw = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     kept = greedy_filter(n, d, raw)
     return Codebook.from_values(n, k, d, kept)
+
+
+@st.composite
+def seed_books(draw):
+    """Valid books of 0 to 16 words at n <= 13, on both sides of the n = 6/7
+    switch from one bitset block to many, at any distance."""
+    n = draw(st.integers(1, 13))
+    d = draw(st.integers(1, n))
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    return Codebook.from_values(n, min(3, n), d, greedy_filter(n, d, raw))
 
 
 @st.composite
@@ -87,13 +132,62 @@ class TestExtend:
         assert min_distance(book) == 3
 
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_matches_reference_scan(self, data):
-        n = data.draw(st.integers(2, 7))
-        d = data.draw(st.integers(1, min(3, n)))
+        n = data.draw(st.integers(1, 10))
+        d = data.draw(st.integers(1, n))
         book = small_books(data.draw, n, min(2, n), d)
         fast = extend_codebook(book)
         assert fast == naive_extend(book)
+
+    @given(seed_books())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ball_scatter(self, book):
+        assert extend_codebook(book) == ball_scatter_extend(book)
+
+    @pytest.mark.parametrize("n,k,d", [(18, 3, 7), (18, 4, 6)])
+    def test_first_generation_matches_ball_scatter(self, monkeypatch, n, k, d):
+        """Seed-0 population and children after one generation, with either kernel."""
+
+        def first_generation():
+            seen = []
+
+            def recording_selection(parents, children, literal=False):
+                kept = selection(parents, children, literal)
+                seen.extend([parents, children, kept])
+                return kept
+
+            monkeypatch.setattr(search, "selection", recording_selection)
+            genetic_local_search(n, k, d, DesignConfig(seed=0, max_generations=1))
+            return seen
+
+        fast = first_generation()
+        monkeypatch.setattr(search, "extend_codebook", ball_scatter_extend)
+        assert first_generation() == fast
+        assert len(fast) == 3
+
+    def test_golay_code(self):
+        """The (23, 2**12, 7) lexicode is the binary Golay code.
+
+        Conway & Sloane, "Lexicographic codes: error-correcting codes from
+        game theory", IEEE T-IT 32(3), 1986.
+        """
+        golay = extend_codebook(Codebook(n=23, k=12, d=7))
+        assert golay.m == 1 << 12
+        weights = Counter(v.bit_count() for v in golay.values)
+        assert weights == {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+
+    def test_bounded_memory_at_n24(self):
+        # a radius-11 ball holds 7.0 M of the 16.8 M words; the bitset has
+        # 2**18 uint64 blocks, 2 MiB
+        tracemalloc.start()
+        try:
+            book = extend_codebook(Codebook(n=24, k=3, d=12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert book.is_complete and book.is_valid()
+        assert peak < 32 << 20
 
     @given(st.data())
     @settings(max_examples=40)
@@ -119,6 +213,13 @@ class TestLocalSearch:
         assert set(book.values) <= set(result.values)
         assert result.is_valid()
         assert extend_codebook(result) == result
+
+    @given(seed_books(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_ball_scatter(self, book, data):
+        positions = data.draw(st.sets(st.integers(0, book.n - 1)))
+        expected = mutate(ball_scatter_extend(mutate(book, positions)), positions)
+        assert local_search(book, positions) == expected
 
     def test_empty_mask_reduces_to_extend(self):
         book = Codebook.from_values(4, 2, 2, [0b1100])
