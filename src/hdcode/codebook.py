@@ -1,65 +1,30 @@
-"""Binary codewords and codebooks with Hamming-distance arithmetic.
+"""Binary codebooks with Hamming-distance arithmetic.
 
-Codewords are fixed-length bit vectors stored as integers, most significant
-bit first, so integer order coincides with lexicographic order on the
-bitstrings.  A codebook is a sorted tuple of such integers together with
-its design parameters (n, k, d): length n, a target of 2**k codewords, and
-a minimum pairwise Hamming distance of d.  `Codeword` wraps one value for
-the single-word API (encoding, message order, recombination anchors).
+A codeword is a fixed-length bit vector stored as a plain integer, most
+significant bit first, so integer order coincides with lexicographic order
+on the bitstrings.  A codebook is a sorted tuple of such integers together
+with its design parameters (n, k, d): length n, a target of 2**k codewords,
+and a minimum pairwise Hamming distance of d.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 MAX_N = 24  # exhaustive 2**n scans stay tractable below this
 
+# Byte budget for one row block of the pairwise distance kernel: its (rows, m)
+# uint32 XOR matrix, the larger of its two temporaries (the uint8 popcounts
+# are a quarter of it).  A 4,096-word book then takes 64 rows per block.
+DISTANCE_BUDGET_BYTES = 1 << 20
+
 
 class CodebookFormatError(ValueError):
     """A codebook document or value violates the file contract."""
-
-
-@dataclass(frozen=True, order=True)
-class Codeword:
-    """Length-n binary vector, encoded as an int with the MSB as position 0."""
-
-    n: int
-    value: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"codeword length must be in [1, {MAX_N}], got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ValueError(f"value {self.value} does not fit in {self.n} bits")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
-    @property
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.n}b")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Codeword":
-        if not text or any(ch not in "01" for ch in text):
-            raise CodebookFormatError(f"malformed bitstring {text!r}")
-        return cls(n=len(text), value=int(text, 2))
-
-
-def hamming_distance(x: Codeword, y: Codeword) -> int:
-    """Number of positions where x and y differ."""
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    return (x.value ^ y.value).bit_count()
 
 
 @dataclass(frozen=True)
@@ -99,10 +64,6 @@ class Codebook:
         return cls(n, k, d, tuple(set(values)))
 
     @property
-    def codewords(self) -> tuple[Codeword, ...]:
-        return tuple(Codeword(self.n, v) for v in self.values)
-
-    @property
     def m(self) -> int:
         return len(self.values)
 
@@ -119,17 +80,22 @@ class Codebook:
         return tuple(format(v, fmt) for v in self.values)
 
     def validate(self) -> None:
-        """Check the pairwise-distance invariant, naming the first violating pair."""
-        vals = self.values
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                dist = (vals[i] ^ vals[j]).bit_count()
-                if dist < self.d:
-                    a = format(vals[i], f"0{self.n}b")
-                    b = format(vals[j], f"0{self.n}b")
-                    raise CodebookFormatError(
-                        f"codewords {a} and {b} are at distance {dist} < d={self.d}"
-                    )
+        """Check the pairwise-distance invariant, naming the first violating pair.
+
+        Pairs (i, j), i < j, are scanned in row-major order.  The first row
+        with any close word only has close words to its right: one on its
+        left would have put that pair in an earlier row.
+        """
+        for start, block in _distance_blocks(self):
+            close = block < self.d
+            first = int(close.argmax())
+            if close.flat[first]:
+                i, j = divmod(first, self.m)
+                a = format(self.values[start + i], f"0{self.n}b")
+                b = format(self.values[j], f"0{self.n}b")
+                raise CodebookFormatError(
+                    f"codewords {a} and {b} are at distance {block.flat[first]} < d={self.d}"
+                )
 
     def is_valid(self) -> bool:
         try:
@@ -139,23 +105,28 @@ class Codebook:
         return True
 
 
-def distance_to_codebook(x: Codeword, book: Codebook) -> float:
-    """Minimum Hamming distance from x to any codeword; inf for an empty codebook."""
-    if x.n != book.n:
-        raise ValueError(f"length mismatch: codeword n={x.n}, codebook n={book.n}")
-    if not book.values:
-        return math.inf
-    xv = x.value
-    return min((xv ^ v).bit_count() for v in book.values)
+def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairwise Hamming distances of the codewords, one block of rows at a time.
+
+    Yields (start, block) where block[r, j] is the distance between words
+    start + r and j as a (rows, m) uint8 array, with each word's distance to
+    itself set to n + 1, a value no pair reaches.  Rows per block keep the
+    uint32 XOR matrix within DISTANCE_BUDGET_BYTES (never fewer than one row).
+    """
+    vals = np.asarray(book.values, dtype=np.uint32)
+    m = len(vals)
+    rows = max(1, DISTANCE_BUDGET_BYTES // (vals.itemsize * max(m, 1)))
+    for start in range(0, m, rows):
+        block = np.bitwise_count(vals[start : start + rows, None] ^ vals)
+        block.reshape(-1)[start :: m + 1] = book.n + 1
+        yield start, block
 
 
 def min_distance(book: Codebook) -> int:
     """Minimum pairwise Hamming distance over all distinct codeword pairs."""
     if book.m < 2:
         raise ValueError("min distance is undefined for fewer than 2 codewords")
-    dists = pairwise_distance_counts(book.values)
-    np.fill_diagonal(dists, np.iinfo(dists.dtype).max)
-    return int(dists.min())
+    return min(int(block.min()) for _, block in _distance_blocks(book))
 
 
 def total_ones(book: Codebook) -> int:
@@ -184,13 +155,6 @@ def mutate(book: Codebook, positions: Iterable[int]) -> Codebook:
     return Codebook.from_values(book.n, book.k, book.d, (v ^ mask for v in book.values))
 
 
-def lex_successor(x: Codeword) -> Codeword:
-    """Next codeword in lexicographic (binary counter) order."""
-    if x.value == (1 << x.n) - 1:
-        raise ValueError("all-ones codeword has no successor")
-    return Codeword(x.n, x.value + 1)
-
-
 def _by_weight(values: Iterable[int]) -> list[int]:
     """Heaviest first; ties go to the lexicographically larger word."""
     return sorted(values, key=lambda v: (-v.bit_count(), -v))
@@ -210,9 +174,9 @@ def finalize(book: Codebook) -> Codebook:
     return Codebook(book.n, book.k, book.d, tuple(_by_weight(book.values)[:target]))
 
 
-def message_order(book: Codebook) -> tuple[Codeword, ...]:
-    """Codewords in message-index order: heaviest first, lexicographically larger first on ties."""
-    return tuple(Codeword(book.n, v) for v in _by_weight(book.values))
+def message_order(book: Codebook) -> tuple[int, ...]:
+    """The codewords in message-index order: heaviest first, larger value first on ties."""
+    return tuple(_by_weight(book.values))
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -264,9 +228,3 @@ def load_codebook(path) -> Codebook:
 def save_codebook(book: Codebook, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_codebook(book))
-
-
-def pairwise_distance_counts(values: Sequence[int]) -> np.ndarray:
-    """Matrix of pairwise Hamming distances between integer codeword values, as uint8."""
-    vals = np.asarray(values, dtype=np.uint32)
-    return np.bitwise_count(vals[:, None] ^ vals[None, :])

@@ -14,9 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
-from .codebook import Codebook, Codeword, _by_weight, message_order, min_distance
+from .codebook import Codebook, message_order
 from .oracle import exact_distance_spectrum
 
 SHARD_SIZE = 1 << 14
@@ -88,8 +87,13 @@ class BlerEstimate:
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x); accepts scalars or arrays."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    """Gaussian tail probability Q(x); accepts scalars or arrays.
+
+    The stdlib erfc is applied per element: the arguments are an SNR grid or
+    a distance spectrum, a few dozen values at most.
+    """
+    z = np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
+    return 0.5 * np.array([math.erfc(v) for v in z.flat]).reshape(z.shape)
 
 
 def modulated_matrix(book: Codebook, params: ChannelParams) -> np.ndarray:
@@ -98,13 +102,13 @@ def modulated_matrix(book: Codebook, params: ChannelParams) -> np.ndarray:
         raise ValueError(
             f"modulation requires exactly 2**k = {book.size_target} codewords, got {book.m}"
         )
-    order = np.asarray(_by_weight(book.values), dtype=np.int64)
+    order = np.asarray(message_order(book), dtype=np.int64)
     bits = (order[:, None] >> np.arange(book.n - 1, -1, -1)) & 1
     return bits * params.amplitude
 
 
-def encode(message: int, book: Codebook) -> Codeword:
-    """Codeword for a message index; low indexes map to heavy codewords."""
+def encode(message: int, book: Codebook) -> int:
+    """The codeword for a message index; low indexes map to heavy codewords."""
     if book.m != book.size_target:
         raise ValueError(
             f"encoding requires exactly 2**k = {book.size_target} codewords, got {book.m}"
@@ -200,7 +204,7 @@ def theoretical_bler_dominant(book: Codebook, params: ChannelParams) -> float:
     and returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)).
     """
     spectrum = exact_distance_spectrum(book)
-    delta = min_distance(book)
+    delta = spectrum.min_distance
     multiplicity = spectrum.total_at(delta)
     return float(multiplicity / book.m * q_function(math.sqrt(delta * params.ebn0)))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, pairwise_distance_counts
+from .codebook import Codebook, _distance_blocks
 
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 3
@@ -102,10 +102,13 @@ def exact_distance_spectrum(book: Codebook) -> DistanceSpectrum:
         raise ValueError(
             f"spectrum requires exactly 2**k = {book.size_target} codewords, got {book.m}"
         )
-    dists = pairwise_distance_counts(book.values)
-    counts = np.zeros((book.m, book.n + 1), dtype=np.int64)
-    for i in range(book.m):
-        row = np.bincount(dists[i], minlength=book.n + 1)
-        row[0] -= 1  # drop the self-distance
-        counts[i] = row[: book.n + 1]
+    # one bincount per block: row r's distances are shifted into bins
+    # r*(n+2) ... r*(n+2) + n+1, the last of which holds the self-distance
+    width = book.n + 2
+    counts = np.empty((book.m, width - 1), dtype=np.int64)
+    for start, block in _distance_blocks(book):
+        rows = len(block)
+        shifted = block + np.arange(0, rows * width, width)[:, None]
+        binned = np.bincount(shifted.ravel(), minlength=rows * width)
+        counts[start : start + rows] = binned.reshape(rows, width)[:, :-1]
     return DistanceSpectrum(book.n, book.d, counts)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, Codeword, finalize, mutate, total_ones
+from .codebook import Codebook, finalize, mutate, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -274,7 +274,7 @@ def parent_probabilities(population: Population, literal: bool = False) -> list[
 
 
 def recombine_pair(
-    first: Codebook, second: Codebook, anchor: Codeword, split: int
+    first: Codebook, second: Codebook, anchor: int, split: int
 ) -> tuple[Codebook, Codebook]:
     """Exchange codewords between two codebooks around an anchor word.
 
@@ -285,16 +285,15 @@ def recombine_pair(
     """
     if (first.n, first.d) != (second.n, second.d):
         raise ValueError("parent codebooks must share n and d")
-    if anchor.n != first.n:
-        raise ValueError("anchor length does not match the codebooks")
     n, d = first.n, first.d
+    if not 0 <= anchor < (1 << n):
+        raise ValueError(f"anchor {anchor} does not fit in n={n} bits")
     if not 0 <= split <= n + d:
         raise ValueError(f"split must lie in [0, {n + d}], got {split}")
-    a = anchor.value
-    near_first = {v for v in first.values if (v ^ a).bit_count() <= split - d}
-    far_second = {v for v in second.values if (v ^ a).bit_count() >= split}
-    near_second = {v for v in second.values if (v ^ a).bit_count() <= split - d}
-    far_first = {v for v in first.values if (v ^ a).bit_count() >= split}
+    near_first = {v for v in first.values if (v ^ anchor).bit_count() <= split - d}
+    far_second = {v for v in second.values if (v ^ anchor).bit_count() >= split}
+    near_second = {v for v in second.values if (v ^ anchor).bit_count() <= split - d}
+    far_first = {v for v in first.values if (v ^ anchor).bit_count() >= split}
     child_one = Codebook.from_values(n, first.k, d, near_first | far_second)
     child_two = Codebook.from_values(n, second.k, d, near_second | far_first)
     return child_one, child_two
@@ -327,7 +326,7 @@ def recombination(
         j = draw()
         while j == i:
             j = draw()
-        anchor = Codeword(n, int(rng.integers(0, 1 << n)))
+        anchor = int(rng.integers(0, 1 << n))
         split = int(rng.integers(0, n + d + 1))
         children.extend(recombine_pair(books[i], books[j], anchor, split))
     return Population(tuple(children), population.generation + 1)

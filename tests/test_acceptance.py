@@ -30,7 +30,6 @@ from hdcode import (
     theoretical_bler_union,
     throughput,
 )
-from hdcode.codebook import Codeword
 from hdcode.search import DesignConfig, _stream
 
 
@@ -101,7 +100,7 @@ def test_criterion_3_recombination_distance_property():
     for _ in range(5_000):
         n, d, books = pools[int(rng.integers(0, len(pools)))]
         i, j = rng.choice(len(books), size=2, replace=False)
-        anchor = Codeword(n, int(rng.integers(0, 1 << n)))
+        anchor = int(rng.integers(0, 1 << n))
         split = int(rng.integers(0, n + d + 1))
         for child in recombine_pair(books[i], books[j], anchor, split):
             checked += 1

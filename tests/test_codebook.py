@@ -1,18 +1,17 @@
 import itertools
 import json
-import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hdcode import (
     Codebook,
     CodebookFormatError,
-    Codeword,
-    distance_to_codebook,
+    exact_distance_spectrum,
+    extend_codebook,
     finalize,
-    hamming_distance,
-    lex_successor,
     message_order,
     min_distance,
     mutate,
@@ -21,12 +20,6 @@ from hdcode import (
     serialize_codebook,
     total_ones,
 )
-
-
-def words(max_n=10):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.builds(Codeword, st.just(n), st.integers(0, (1 << n) - 1))
-    )
 
 
 def codebooks(max_n=8):
@@ -42,60 +35,6 @@ def _book_from(n, values):
     )
     k = max(1, min(n, (len(values) - 1).bit_length()))
     return Codebook.from_values(n, k, dmin, values)
-
-
-class TestCodeword:
-    def test_string_round_trip(self):
-        w = Codeword.from_string("01101")
-        assert (w.n, w.value) == (5, 0b01101)
-        assert str(w) == "01101"
-        assert w.bits == (0, 1, 1, 0, 1)
-        assert w.weight == 3
-
-    def test_leading_zeros_significant(self):
-        assert Codeword.from_string("0011") != Codeword.from_string("011")
-
-    def test_rejects_bad_strings(self):
-        for text in ("", "012", "1 0", "ab"):
-            with pytest.raises(CodebookFormatError):
-                Codeword.from_string(text)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Codeword(3, 8)
-        with pytest.raises(ValueError):
-            Codeword(0, 0)
-        with pytest.raises(ValueError):
-            Codeword(25, 0)
-
-    @given(words())
-    def test_str_parse_identity(self, w):
-        assert Codeword.from_string(str(w)) == w
-        assert len(str(w)) == w.n
-
-    @given(words())
-    def test_weight_counts_ones(self, w):
-        assert w.weight == str(w).count("1")
-
-
-class TestHammingDistance:
-    def test_known_values(self):
-        a = Codeword.from_string("1100")
-        b = Codeword.from_string("1010")
-        assert hamming_distance(a, b) == 2
-        assert hamming_distance(a, a) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance(Codeword(3, 1), Codeword(4, 1))
-
-    @given(words(), words(), words())
-    def test_metric_axioms(self, a, b, c):
-        n = max(a.n, b.n, c.n)
-        a, b, c = (Codeword(n, w.value) for w in (a, b, c))
-        assert hamming_distance(a, b) == hamming_distance(b, a)
-        assert (hamming_distance(a, b) == 0) == (a == b)
-        assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
 
 
 class TestCodebook:
@@ -123,15 +62,15 @@ class TestCodebook:
         with pytest.raises(ValueError, match="fit in n=3 bits"):
             Codebook(3, 2, 1, (-1, 5))
 
+    def test_length_out_of_domain_rejected(self):
+        for n in (0, 25):
+            with pytest.raises(ValueError, match="n must be in"):
+                Codebook(n, 1, 1)
+
     def test_codewords_canonically_sorted(self):
         book = Codebook.from_values(3, 2, 1, [0b110, 0b001, 0b110])
         assert book.values == (0b001, 0b110)
-        assert book.codewords == (Codeword(3, 0b001), Codeword(3, 0b110))
         assert Codebook(3, 2, 1, (0b110, 0b001)) == book
-
-    def test_empty_distance_is_infinite(self):
-        empty = Codebook(n=4, k=2, d=2)
-        assert distance_to_codebook(Codeword(4, 7), empty) == math.inf
 
     def test_min_distance_needs_two(self):
         with pytest.raises(ValueError):
@@ -139,9 +78,7 @@ class TestCodebook:
 
     @given(codebooks())
     def test_min_distance_matches_naive(self, book):
-        naive = min(
-            hamming_distance(a, b) for a, b in itertools.combinations(book.codewords, 2)
-        )
+        naive = min((a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2))
         assert min_distance(book) == naive
 
 
@@ -152,10 +89,10 @@ class TestMutation:
         flipped = mutate(book, positions)
         assert mutate(flipped, positions) == book
         before = sorted(
-            hamming_distance(a, b) for a, b in itertools.combinations(book.codewords, 2)
+            (a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2)
         )
         after = sorted(
-            hamming_distance(a, b) for a, b in itertools.combinations(flipped.codewords, 2)
+            (a ^ b).bit_count() for a, b in itertools.combinations(flipped.values, 2)
         )
         assert before == after
 
@@ -167,23 +104,6 @@ class TestMutation:
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             positions_to_mask([4], 4)
-
-
-class TestLexSuccessor:
-    def test_increments_value(self):
-        assert lex_successor(Codeword(4, 5)) == Codeword(4, 6)
-
-    def test_all_ones_has_no_successor(self):
-        with pytest.raises(ValueError):
-            lex_successor(Codeword(3, 7))
-
-    @given(words())
-    def test_successor_is_next_in_order(self, w):
-        if w.value == (1 << w.n) - 1:
-            return
-        nxt = lex_successor(w)
-        assert nxt.value == w.value + 1
-        assert str(w) < str(nxt)
 
 
 class TestFinalize:
@@ -204,7 +124,7 @@ class TestFinalize:
     def test_message_order_heaviest_first(self):
         book = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
         order = message_order(book)
-        assert [w.value for w in order] == [0b111, 0b110, 0b101, 0b011]
+        assert order == (0b111, 0b110, 0b101, 0b011)
 
     @given(st.integers(1, 12).flatmap(
         lambda n: st.tuples(
@@ -218,7 +138,7 @@ class TestFinalize:
         n, k, values = case
         book = Codebook.from_values(n, k, 1, values)
         ranked = sorted(values, key=lambda v: (-v.bit_count(), -v))
-        assert message_order(book) == tuple(Codeword(n, v) for v in ranked)
+        assert message_order(book) == tuple(ranked)
         if len(values) < 1 << k:
             with pytest.raises(ValueError):
                 finalize(book)
@@ -261,3 +181,78 @@ class TestSerialization:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(CodebookFormatError):
             parse_codebook(doc)
+
+    def test_malformed_bitstrings_rejected(self):
+        for text in ("", "012", "1 0", "ab"):
+            doc = json.dumps({"n": max(len(text), 1), "k": 1, "d": 1, "codewords": [text]})
+            with pytest.raises(CodebookFormatError, match="malformed bitstring"):
+                parse_codebook(doc)
+
+
+def brute_first_close_pair(book):
+    """The validate message for the first pair (i < j, row-major) closer than d."""
+    for a, b in itertools.combinations(book.values, 2):
+        dist = (a ^ b).bit_count()
+        if dist < book.d:
+            return (
+                f"codewords {a:0{book.n}b} and {b:0{book.n}b} "
+                f"are at distance {dist} < d={book.d}"
+            )
+    return None
+
+
+def brute_spectrum(book):
+    counts = [[0] * (book.n + 1) for _ in book.values]
+    for i, a in enumerate(book.values):
+        for j, b in enumerate(book.values):
+            if i != j:
+                counts[i][(a ^ b).bit_count()] += 1
+    return counts
+
+
+@st.composite
+def complete_books(draw):
+    """Complete books with n <= 10, k <= 5 and any d, most of them invalid."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 5)))
+    values = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1 << k, max_size=1 << k))
+    return Codebook.from_values(n, k, draw(st.integers(1, n)), values)
+
+
+class TestDistanceKernel:
+    """validate, min_distance and the spectrum share one row-block kernel."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @given(book=complete_books())
+    def test_matches_brute_force(self, rows, book):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                # the budget of `rows` rows of uint32 XORs: many blocks per book
+                mp.setattr("hdcode.codebook.DISTANCE_BUDGET_BYTES", 4 * book.m * rows)
+            expected = brute_first_close_pair(book)
+            if expected is None:
+                book.validate()
+            else:
+                with pytest.raises(CodebookFormatError) as info:
+                    book.validate()
+                assert str(info.value) == expected
+            naive = min((a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2))
+            assert min_distance(book) == naive
+            counts = exact_distance_spectrum(book).counts
+            assert counts.tolist() == brute_spectrum(book)
+
+    def test_golay_book_stays_within_memory_bound(self):
+        book = extend_codebook(Codebook(23, 12, 7))
+        assert book.m == 4096
+        for run in (book.validate, lambda: min_distance(book),
+                    lambda: exact_distance_spectrum(book)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20
+        # the binary Golay code is distance-invariant: A_7 = 253 from every word
+        assert min_distance(book) == 7
+        assert np.all(exact_distance_spectrum(book).counts[:, 7] == 253)

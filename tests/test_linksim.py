@@ -1,5 +1,7 @@
 import logging
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from hdcode import (
     message_order,
     ml_decode,
     q_function,
+    serialize_codebook,
     simulate_bler,
     theoretical_bler_dominant,
     theoretical_bler_union,
@@ -37,7 +40,8 @@ def density_decode(received, book, params):
     sigma = params.noise_sigma
     best_index, best_log = 0, -math.inf
     for i, word in enumerate(message_order(book)):
-        mean = np.array(word.bits, dtype=float) * params.amplitude
+        bits = [(word >> (book.n - 1 - j)) & 1 for j in range(book.n)]
+        mean = np.array(bits, dtype=float) * params.amplitude
         log_density = float(-np.sum((received - mean) ** 2) / (2.0 * sigma**2))
         if log_density > best_log:
             best_index, best_log = i, log_density
@@ -108,11 +112,42 @@ class TestQFunction:
     def test_symmetry(self, x):
         assert float(q_function(-x)) == pytest.approx(1.0 - float(q_function(x)))
 
+    def test_matches_mpmath_in_the_tail(self):
+        """Relative error within 4e-15 for Q arguments in [0, 37.5].
+
+        The reference is 0.5 * erfc(z) to 50 digits at the double z = x / sqrt(2)
+        that q_function evaluates.  Rounding x / sqrt(2) is not part of the
+        check: Q's relative condition number near x is about x**2, so half an
+        ulp there moves Q(37.5) by about 1.6e-13 in any double implementation.
+        """
+        import mpmath
+        xs = np.concatenate([
+            np.linspace(0.0, 37.5, 1501),
+            np.sqrt(np.outer(np.arange(1, 25), 10.0 ** (np.arange(0, 8.25, 0.5) / 10))).ravel(),
+        ])
+        zs = xs / math.sqrt(2.0)
+        with mpmath.workdps(50):
+            reference = [0.5 * mpmath.erfc(mpmath.mpf(float(z))) for z in zs]
+            errors = [abs(mpmath.mpf(float(q)) / r - 1) for q, r in zip(q_function(xs), reference)]
+        assert float(max(errors)) <= 4e-15
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        book = tmp_path / "book.json"
+        book.write_text(serialize_codebook(DENSE_3_2))
+        code = (
+            "import sys; sys.modules['scipy'] = None; import hdcode.cli; "
+            f"sys.exit(hdcode.cli.main(['bler', '--codebook', {str(book)!r}, "
+            "'--snr-db', '4', '--mode', 'theory-dominant']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "snr_db,mode,bler,ci95,trials"
+
 
 class TestEncodeDecode:
     def test_heaviest_codeword_is_message_zero(self):
-        assert encode(0, DENSE_3_2).value == 0b111
-        assert encode(3, DENSE_3_2).value == 0b011
+        assert encode(0, DENSE_3_2) == 0b111
+        assert encode(3, DENSE_3_2) == 0b011
 
     def test_message_out_of_range(self):
         with pytest.raises(ValueError):

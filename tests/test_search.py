@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hdcode import (
     Codebook,
-    Codeword,
     effective_weight,
     extend_codebook,
     genetic_local_search,
-    hamming_distance,
     initial_population,
     local_search,
     min_distance,
@@ -113,7 +111,7 @@ def parent_pairs(draw):
     k = draw(st.integers(1, min(3, n)))
     first = small_books(draw, n, k, d)
     second = small_books(draw, n, k, d)
-    anchor = Codeword(n, draw(st.integers(0, (1 << n) - 1)))
+    anchor = draw(st.integers(0, (1 << n) - 1))
     split = draw(st.integers(0, n + d))
     return first, second, anchor, split
 
@@ -302,7 +300,7 @@ class TestRecombination:
     def test_split_extremes_swap_or_keep(self):
         first = Codebook.from_values(3, 2, 2, [0b000, 0b011])
         second = Codebook.from_values(3, 2, 2, [0b101, 0b110])
-        anchor = Codeword(3, 0b000)
+        anchor = 0b000
         # split 0: the near side is empty, so the children trade all codewords
         child_one, child_two = recombine_pair(first, second, anchor, 0)
         assert set(child_one.values) == {0b101, 0b110}
@@ -316,9 +314,12 @@ class TestRecombination:
         first = Codebook.from_values(3, 2, 2, [0b000])
         second = Codebook.from_values(4, 2, 2, [0b0000])
         with pytest.raises(ValueError):
-            recombine_pair(first, second, Codeword(3, 0), 2)
+            recombine_pair(first, second, 0, 2)
         with pytest.raises(ValueError):
-            recombine_pair(first, first, Codeword(3, 0), 6)
+            recombine_pair(first, first, 0, 6)
+        for anchor in (-1, 8):
+            with pytest.raises(ValueError, match="anchor"):
+                recombine_pair(first, first, anchor, 2)
 
     def test_population_round(self):
         books = tuple(
