@@ -2,9 +2,9 @@
 
 A codeword is a fixed-length bit vector stored as a plain integer, most
 significant bit first, so integer order coincides with lexicographic order
-on the bitstrings.  A codebook is a sorted tuple of such integers together
-with its design parameters (n, k, d): length n, a target of 2**k codewords,
-and a minimum pairwise Hamming distance of d.
+on the bitstrings.  A codebook is a read-only sorted uint32 array of such
+integers together with its design parameters (n, k, d): length n, a target
+of 2**k codewords, and a minimum pairwise Hamming distance of d.
 """
 
 from __future__ import annotations
@@ -27,21 +27,21 @@ class CodebookFormatError(ValueError):
     """A codebook document or value violates the file contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Distinct length-n words under a (n, k, d) design contract.
 
-    The words are stored only as `values`, a sorted tuple of ints (MSB
-    first), so codebook equality and hashing are structural.  Construction
-    checks the parameter domain, that every value fits in n bits, and
-    distinctness; the O(m^2 n) pairwise-distance invariant is checked by
-    validate().
+    The words are stored only as `values`, a read-only sorted uint32 array
+    (MSB first), so codebook equality and hashing are structural, over
+    word_bytes().  Construction checks the parameter domain, that every
+    value fits in n bits, and distinctness; the O(m^2 n) pairwise-distance
+    invariant is checked by validate().
     """
 
     n: int
     k: int
     d: int
-    values: tuple[int, ...] = ()
+    values: np.ndarray = ()
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
@@ -50,18 +50,46 @@ class Codebook:
             raise ValueError(f"d must satisfy 0 < d <= n, got d={self.d} n={self.n}")
         if not 0 < self.k <= self.n:
             raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k} n={self.n}")
-        values = tuple(sorted(self.values))
-        if values and not (0 <= values[0] and values[-1] < (1 << self.n)):
+        values = _word_array(self.values, self.n)
+        if not (values[1:] > values[:-1]).all():
+            values = np.sort(values)
+            same = values[1:] == values[:-1]
+            if same.any():
+                raise ValueError(f"duplicate codeword {int(values[same.argmax()]):0{self.n}b}")
+        elif values is self.values and values.flags.writeable:
+            values = values.copy()  # the caller's array must not alias the book
+        if values.size and int(values[-1]) >> self.n:
             raise ValueError(f"codeword values must fit in n={self.n} bits")
-        if len(set(values)) != len(values):
-            dup = next(a for a, b in zip(values, values[1:]) if a == b)
-            raise ValueError(f"duplicate codeword {dup:0{self.n}b}")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, n: int, k: int, d: int, values: Iterable[int]) -> "Codebook":
         """Build from raw integer codeword values, deduplicating."""
-        return cls(n, k, d, tuple(set(values)))
+        words = np.sort(_word_array(values, n))
+        step = words[1:] != words[:-1]
+        if not step.all():
+            words = words[np.concatenate(([True], step))]
+        words.setflags(write=False)
+        return cls(n, k, d, words)
+
+    def word_bytes(self) -> bytes:
+        """The words as big-endian 4-byte groups.
+
+        Byte order of these strings is the order of the word tuples, a book
+        that is a prefix of another coming first.
+        """
+        return self.values.astype(">u4").tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (self.n, self.k, self.d) == (other.n, other.k, other.d) and (
+            self.word_bytes() == other.word_bytes()
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.d, self.word_bytes()))
 
     @property
     def m(self) -> int:
@@ -77,7 +105,7 @@ class Codebook:
 
     def bitstrings(self) -> tuple[str, ...]:
         fmt = f"0{self.n}b"
-        return tuple(format(v, fmt) for v in self.values)
+        return tuple(format(v, fmt) for v in self.values.tolist())
 
     def validate(self) -> None:
         """Check the pairwise-distance invariant, naming the first violating pair.
@@ -91,8 +119,8 @@ class Codebook:
             first = int(close.argmax())
             if close.flat[first]:
                 i, j = divmod(first, self.m)
-                a = format(self.values[start + i], f"0{self.n}b")
-                b = format(self.values[j], f"0{self.n}b")
+                a = format(int(self.values[start + i]), f"0{self.n}b")
+                b = format(int(self.values[j]), f"0{self.n}b")
                 raise CodebookFormatError(
                     f"codewords {a} and {b} are at distance {block.flat[first]} < d={self.d}"
                 )
@@ -105,6 +133,24 @@ class Codebook:
         return True
 
 
+def _word_array(values: Iterable[int], n: int) -> np.ndarray:
+    """The values as a uint32 array.
+
+    Values of any other type are checked to fit in n bits before the cast;
+    a uint32 array is returned as it is, for the caller to check.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.uint32:
+            return values
+        fits = not values.size or (values.min() >= 0 and values.max() < 1 << n)
+    else:
+        values = list(values)
+        fits = not values or (min(values) >= 0 and max(values) < 1 << n)
+    if not fits:
+        raise ValueError(f"codeword values must fit in n={n} bits")
+    return np.asarray(values, dtype=np.uint32)
+
+
 def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
     """Pairwise Hamming distances of the codewords, one block of rows at a time.
 
@@ -113,7 +159,7 @@ def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
     itself set to n + 1, a value no pair reaches.  Rows per block keep the
     uint32 XOR matrix within DISTANCE_BUDGET_BYTES (never fewer than one row).
     """
-    vals = np.asarray(book.values, dtype=np.uint32)
+    vals = book.values
     m = len(vals)
     rows = max(1, DISTANCE_BUDGET_BYTES // (vals.itemsize * max(m, 1)))
     for start in range(0, m, rows):
@@ -131,7 +177,7 @@ def min_distance(book: Codebook) -> int:
 
 def total_ones(book: Codebook) -> int:
     """Sum of Hamming weights over all codewords (the quantity maximized)."""
-    return sum(v.bit_count() for v in book.values)
+    return int(np.bitwise_count(book.values).sum())
 
 
 def positions_to_mask(positions: Iterable[int], n: int) -> int:
@@ -152,12 +198,12 @@ def mutate(book: Codebook, positions: Iterable[int]) -> Codebook:
     mutation twice restores the original codebook.
     """
     mask = positions_to_mask(positions, book.n)
-    return Codebook.from_values(book.n, book.k, book.d, (v ^ mask for v in book.values))
+    return Codebook.from_values(book.n, book.k, book.d, book.values ^ np.uint32(mask))
 
 
-def _by_weight(values: Iterable[int]) -> list[int]:
+def _by_weight(values: np.ndarray) -> np.ndarray:
     """Heaviest first; ties go to the lexicographically larger word."""
-    return sorted(values, key=lambda v: (-v.bit_count(), -v))
+    return values[np.lexsort((values, np.bitwise_count(values)))[::-1]]
 
 
 def finalize(book: Codebook) -> Codebook:
@@ -171,12 +217,12 @@ def finalize(book: Codebook) -> Codebook:
         raise ValueError(
             f"incomplete codebook: {book.m} codewords, finalize needs at least {target}"
         )
-    return Codebook(book.n, book.k, book.d, tuple(_by_weight(book.values)[:target]))
+    return Codebook(book.n, book.k, book.d, _by_weight(book.values)[:target])
 
 
 def message_order(book: Codebook) -> tuple[int, ...]:
     """The codewords in message-index order: heaviest first, larger value first on ties."""
-    return tuple(_by_weight(book.values))
+    return tuple(_by_weight(book.values).tolist())
 
 
 def parse_codebook(text: str) -> Codebook:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, finalize, mutate, total_ones
+from .codebook import Codebook, _distance_blocks, finalize, mutate, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -92,11 +92,44 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *key])))
 
 
-# extend_codebook keeps the blocked words in a bitset of uint64 blocks:
-# block j holds words 64j ... 64j + 63, word 64j + b at bit b.  A word's high
-# part (w >> 6) picks its block and its low part (w & 63) its bit.
+# Greedy extension has two kernels, picked by n.  For n <= 12 a cached table
+# gives each word's ball as one Python int of 2**n bits; above that the
+# blocked words live in a bitset of uint64 blocks: block j holds words
+# 64j ... 64j + 63, word 64j + b at bit b.  A word's high part (w >> 6) picks
+# its block and its low part (w & 63) its bit.
+BALL_TABLE_BUDGET_BYTES = 1 << 21  # a 2**n-word table takes 2**(2n-3) bytes
 _LOW_BITS = 6
 _FULL = (1 << 64) - 1
+
+
+@lru_cache(maxsize=8)
+def _ball_table(n: int, radius: int) -> tuple[int, ...]:
+    """Entry x has bit y set for each word y with popcount(x ^ y) <= radius."""
+    space = Codebook(n, n, 1, np.arange(1 << n, dtype=np.uint32))
+    table: list[int] = []
+    for start, block in _distance_blocks(space):
+        close = block <= radius
+        close[np.arange(len(close)), np.arange(start, start + len(close))] = True
+        packed = np.packbits(close, axis=1, bitorder="little")
+        table.extend(int.from_bytes(row, "little") for row in packed)
+    return tuple(table)
+
+
+def _table_extend(book: Codebook) -> Codebook:
+    """extend_codebook for small n: the free words as one int, cleared ball by ball."""
+    ball = _ball_table(book.n, book.d - 1)
+    blocked = 0
+    for v in book.values.tolist():
+        blocked |= ball[v]
+    free = ~blocked & ((1 << (1 << book.n)) - 1)
+    added = []
+    while free:
+        x = (free & -free).bit_length() - 1
+        added.append(x)
+        free &= ~ball[x]
+    return Codebook.from_values(
+        book.n, book.k, book.d, np.concatenate((book.values, np.array(added, dtype=np.uint32)))
+    )
 
 
 @lru_cache(maxsize=1)
@@ -118,7 +151,7 @@ def _ball_rows(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     The ball around x is that ball translated by XOR: in block h ^ (x >> 6)
     it holds the low parts within min(6, radius - popcount(h)) of x & 63.
     """
-    high = np.arange(1 << max(0, n - _LOW_BITS))
+    high = np.arange(1 << (n - _LOW_BITS))
     weight = np.bitwise_count(high)
     inside = weight <= radius
     rows, radii = high[inside], np.minimum(radius - weight[inside], _LOW_BITS)
@@ -136,23 +169,24 @@ def _high_dilate(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _balls_bitset(values: Sequence[int], n: int, radius: int) -> np.ndarray:
-    """Bitset of every word within `radius` of some word of `values`.
+def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
+    """Bitset of every word within `radius` of some word of `values`, for n >= 6.
 
     With A_s the radius-s low-part balls of the words ORed into their own
     blocks and H one high-part dilation, the radius-r balls are
     A_r | H(A_(r-1) | H(... | H(A_0))): r rounds over the whole bitset,
-    whatever the number of words.
+    whatever the number of words.  Each round gathers one (64, 7) table
+    column for the words, 8 bytes per word.
     """
-    bits = np.zeros(1 << max(0, n - _LOW_BITS), dtype=np.uint64)
-    if not values:
+    bits = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint64)
+    if not len(values):
         return bits
-    words = np.asarray(values, dtype=np.intp)
-    blocks, low = words >> _LOW_BITS, _low_balls()[words & 63]
+    words = values.astype(np.intp)
+    blocks, low = words >> _LOW_BITS, words & 63
     for s in range(radius + 1):
         if s:
             bits = _high_dilate(bits)
-        np.bitwise_or.at(bits, blocks, low[:, min(s, _LOW_BITS)])
+        np.bitwise_or.at(bits, blocks, _low_balls()[low, min(s, _LOW_BITS)])
     return bits
 
 
@@ -167,6 +201,25 @@ def _first_free(bits: np.ndarray, j: int) -> int | None:
     return (j << _LOW_BITS) | ((~block & (block + 1)).bit_length() - 1)
 
 
+def _bitset_extend(book: Codebook) -> Codebook:
+    """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks."""
+    n, d = book.n, book.d
+    rows, radii = _ball_rows(n, d - 1)
+    balls = _low_balls()
+    bits = _balls_bitset(book.values, n, d - 1)
+    added = np.empty(64, dtype=np.uint32)
+    count = 0
+    x = _first_free(bits, 0)
+    while x is not None:
+        if count == len(added):
+            added = np.concatenate((added, np.empty_like(added)))
+        added[count] = x
+        count += 1
+        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].take(radii)
+        x = _first_free(bits, x >> _LOW_BITS)
+    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, added[:count])))
+
+
 def extend_codebook(book: Codebook) -> Codebook:
     """Greedily extend to a maximal codebook, scanning words in counter order.
 
@@ -174,29 +227,25 @@ def extend_codebook(book: Codebook) -> Codebook:
     distance >= d.  The output contains the input, and no word of length n can
     be added to it without violating d.
 
-    The blocked words, those within d-1 of a member, are the set bits of a
-    bitset of max(1, 2**(n-6)) uint64 blocks; for n < 6 the bits past 2**n
-    are set from the start.  The input book's balls are set by d-1 rounds of
-    hypercube dilation.  The ball around an added word x is the ball around
-    0 translated by XOR: each of its blocks h gets one 64-bit low-part set
-    from a (64, 7) table, at row x & 63 and column min(6, d-1 - popcount(h)),
-    ORed into block h ^ (x >> 6).  Every word below x is then blocked, so the
-    next candidate is the lowest clear bit from x's block on.  Memory is
-    O(2**(n-6)) 8-byte words; no ball is enumerated word by word.
+    While a table of 2**n balls fits BALL_TABLE_BUDGET_BYTES (n <= 12), the
+    free words are one 2**n-bit int: the input words' balls are cleared from
+    it, then the lowest free word x is added and its ball cleared, until no
+    word is free.  The table is built once per (n, d-1) and the last 8 stay
+    cached.
+
+    Above that the blocked words, those within d-1 of a member, are the set
+    bits of a bitset of 2**(n-6) uint64 blocks.  The input book's balls are
+    set by d-1 rounds of hypercube dilation.  The ball around an added word
+    x is the ball around 0 translated by XOR: each of its blocks h gets one
+    64-bit low-part set from a (64, 7) table, at row x & 63 and column
+    min(6, d-1 - popcount(h)), ORed into block h ^ (x >> 6).  Every word
+    below x is then blocked, so the next candidate is the lowest clear bit
+    from x's block on.  Memory is O(2**(n-6)) 8-byte words; no ball is
+    enumerated word by word.
     """
-    n, d = book.n, book.d
-    rows, radii = _ball_rows(n, d - 1)
-    balls = _low_balls()
-    bits = _balls_bitset(book.values, n, d - 1)
-    if n < _LOW_BITS:
-        bits[0] |= np.uint64(_FULL ^ ((1 << (1 << n)) - 1))
-    values = list(book.values)
-    x = _first_free(bits, 0)
-    while x is not None:
-        values.append(x)
-        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].take(radii)
-        x = _first_free(bits, x >> _LOW_BITS)
-    return Codebook.from_values(n, book.k, d, values)
+    if (1 << 2 * book.n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
+        return _table_extend(book)
+    return _bitset_extend(book)
 
 
 def local_search(book: Codebook, positions: Iterable[int]) -> Codebook:
@@ -231,8 +280,7 @@ def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
 def _best_subset_ones(book: Codebook) -> int:
     """Ones count of finalize(book): the 2**k largest weights, whatever the tie-break."""
     cut = book.m - book.size_target
-    weights = np.bitwise_count(np.asarray(book.values, dtype=np.uint32))
-    return int(np.partition(weights, cut)[cut:].sum())
+    return int(np.partition(np.bitwise_count(book.values), cut)[cut:].sum())
 
 
 def initial_population(
@@ -290,13 +338,16 @@ def recombine_pair(
         raise ValueError(f"anchor {anchor} does not fit in n={n} bits")
     if not 0 <= split <= n + d:
         raise ValueError(f"split must lie in [0, {n + d}], got {split}")
-    near_first = {v for v in first.values if (v ^ anchor).bit_count() <= split - d}
-    far_second = {v for v in second.values if (v ^ anchor).bit_count() >= split}
-    near_second = {v for v in second.values if (v ^ anchor).bit_count() <= split - d}
-    far_first = {v for v in first.values if (v ^ anchor).bit_count() >= split}
-    child_one = Codebook.from_values(n, first.k, d, near_first | far_second)
-    child_two = Codebook.from_values(n, second.k, d, near_second | far_first)
-    return child_one, child_two
+    dist_first = np.bitwise_count(first.values ^ np.uint32(anchor))
+    dist_second = np.bitwise_count(second.values ^ np.uint32(anchor))
+    child_one = np.concatenate(
+        (first.values[dist_first <= split - d], second.values[dist_second >= split])
+    )
+    child_two = np.concatenate(
+        (second.values[dist_second <= split - d], first.values[dist_first >= split])
+    )
+    return (Codebook.from_values(n, first.k, d, child_one),
+            Codebook.from_values(n, second.k, d, child_two))
 
 
 def recombination(
@@ -333,7 +384,7 @@ def recombination(
 
 
 def _ranked(pool: Iterable[Codebook], literal: bool) -> list[Codebook]:
-    return sorted(pool, key=lambda b: (-effective_weight(b, literal), -b.m, b.values))
+    return sorted(pool, key=lambda b: (-effective_weight(b, literal), -b.m, b.word_bytes()))
 
 
 def selection(parents: Population, children: Population, literal: bool = False) -> Population:
@@ -402,7 +453,7 @@ def stop_check(history: Sequence[GenerationRecord], config: DesignConfig) -> boo
 
 
 def _sample_positions(n: int, rate: float, rng: np.random.Generator) -> list[int]:
-    return [i for i in range(n) if rng.random() < rate]
+    return np.flatnonzero(rng.random(n) < rate).tolist()
 
 
 def _best_complete(

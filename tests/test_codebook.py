@@ -69,7 +69,7 @@ class TestCodebook:
 
     def test_codewords_canonically_sorted(self):
         book = Codebook.from_values(3, 2, 1, [0b110, 0b001, 0b110])
-        assert book.values == (0b001, 0b110)
+        assert book.values.tolist() == [0b001, 0b110]
         assert Codebook(3, 2, 1, (0b110, 0b001)) == book
 
     def test_min_distance_needs_two(self):
@@ -78,8 +78,70 @@ class TestCodebook:
 
     @given(codebooks())
     def test_min_distance_matches_naive(self, book):
-        naive = min((a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2))
+        naive = min(
+            (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
+        )
         assert min_distance(book) == naive
+
+
+@st.composite
+def word_tuples(draw):
+    """Two sorted word tuples at n = 24, the second often a prefix of the first."""
+    first = sorted(draw(st.sets(st.integers(0, (1 << 24) - 1), max_size=6)))
+    if draw(st.booleans()):
+        return first, first[: draw(st.integers(0, len(first)))]
+    return first, sorted(draw(st.sets(st.integers(0, (1 << 24) - 1), max_size=6)))
+
+
+class TestArrayCodebook:
+    def test_values_are_read_only_uint32(self):
+        book = Codebook.from_values(4, 2, 1, [9, 3, 9])
+        assert book.values.dtype == np.uint32
+        with pytest.raises(ValueError):
+            book.values[0] = 1
+
+    def test_caller_array_not_aliased(self):
+        raw = np.array([1, 5], dtype=np.uint32)
+        book = Codebook(3, 1, 1, raw)
+        raw[0] = 7
+        assert book.values.tolist() == [1, 5]
+        assert raw.flags.writeable
+
+    def test_arrays_range_checked_before_cast(self):
+        for raw in (np.array([-1, 2]), np.array([2, 8], dtype=np.uint32)):
+            with pytest.raises(ValueError, match="fit in n=3 bits"):
+                Codebook(3, 2, 1, raw)
+            with pytest.raises(ValueError, match="fit in n=3 bits"):
+                Codebook.from_values(3, 2, 1, raw)
+
+    @given(word_tuples())
+    def test_byte_key_orders_like_tuples(self, pair):
+        first, second = pair
+        a, b = Codebook(24, 3, 1, first), Codebook(24, 3, 1, second)
+        assert (a.word_bytes() < b.word_bytes()) == (tuple(first) < tuple(second))
+        assert (a.word_bytes() == b.word_bytes()) == (first == second)
+
+    @given(st.sets(st.integers(0, (1 << 10) - 1), max_size=30), st.randoms())
+    def test_input_order_does_not_matter(self, values, random):
+        shuffled = list(values)
+        random.shuffle(shuffled)
+        a = Codebook(10, 2, 1, sorted(values))
+        b = Codebook.from_values(10, 2, 1, shuffled + shuffled[:3])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Codebook(10, 3, 1, sorted(values))
+
+    def test_from_values_memory(self):
+        raw = np.random.default_rng(0).permutation(1 << 16).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            book = Codebook.from_values(16, 16, 1, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert book.values.tolist() == list(range(1 << 16))
+        # 256 KiB for the sorted words, 64 KiB for the distinct mask
+        assert peak < 1 << 20
 
 
 class TestMutation:
@@ -89,10 +151,10 @@ class TestMutation:
         flipped = mutate(book, positions)
         assert mutate(flipped, positions) == book
         before = sorted(
-            (a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2)
+            (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
         )
         after = sorted(
-            (a ^ b).bit_count() for a, b in itertools.combinations(flipped.values, 2)
+            (a ^ b).bit_count() for a, b in itertools.combinations(flipped.values.tolist(), 2)
         )
         assert before == after
 
@@ -110,12 +172,12 @@ class TestFinalize:
     def test_keeps_heaviest_subset(self):
         book = Codebook.from_values(4, 1, 1, [0b0000, 0b0001, 0b0111, 0b1111])
         kept = finalize(book)
-        assert kept.values == (0b0111, 0b1111)
+        assert kept.values.tolist() == [0b0111, 0b1111]
 
     def test_tie_prefers_lexicographically_larger(self):
         book = Codebook.from_values(3, 1, 1, [0b011, 0b101, 0b110])
         kept = finalize(book)
-        assert set(kept.values) == {0b101, 0b110}
+        assert set(kept.values.tolist()) == {0b101, 0b110}
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +205,7 @@ class TestFinalize:
             with pytest.raises(ValueError):
                 finalize(book)
         else:
-            assert finalize(book).values == tuple(sorted(ranked[: 1 << k]))
+            assert finalize(book).values.tolist() == sorted(ranked[: 1 << k])
 
 
 class TestSerialization:
@@ -191,7 +253,7 @@ class TestSerialization:
 
 def brute_first_close_pair(book):
     """The validate message for the first pair (i < j, row-major) closer than d."""
-    for a, b in itertools.combinations(book.values, 2):
+    for a, b in itertools.combinations(book.values.tolist(), 2):
         dist = (a ^ b).bit_count()
         if dist < book.d:
             return (
@@ -202,9 +264,10 @@ def brute_first_close_pair(book):
 
 
 def brute_spectrum(book):
-    counts = [[0] * (book.n + 1) for _ in book.values]
-    for i, a in enumerate(book.values):
-        for j, b in enumerate(book.values):
+    values = book.values.tolist()
+    counts = [[0] * (book.n + 1) for _ in values]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
             if i != j:
                 counts[i][(a ^ b).bit_count()] += 1
     return counts
@@ -236,7 +299,9 @@ class TestDistanceKernel:
                 with pytest.raises(CodebookFormatError) as info:
                     book.validate()
                 assert str(info.value) == expected
-            naive = min((a ^ b).bit_count() for a, b in itertools.combinations(book.values, 2))
+            naive = min(
+                (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
+            )
             assert min_distance(book) == naive
             counts = exact_distance_spectrum(book).counts
             assert counts.tolist() == brute_spectrum(book)

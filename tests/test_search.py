@@ -35,7 +35,7 @@ from hdcode.search import (
 
 def naive_extend(book):
     """Reference scan: try every word in counter order, keep if distance holds."""
-    values = list(book.values)
+    values = book.values.tolist()
     for x in range(1 << book.n):
         if all((x ^ v).bit_count() >= book.d for v in values):
             values.append(x)
@@ -57,7 +57,7 @@ def ball_scatter_extend(book):
     size = 1 << n
     blocked = np.zeros(size, dtype=bool)
     masks = ball_masks(n, d - 1)
-    values = list(book.values)
+    values = book.values.tolist()
     for v in values:
         blocked[masks ^ np.uint32(v)] = True
     x = 0
@@ -86,10 +86,11 @@ def small_books(draw, n, k, d):
 
 
 @st.composite
-def seed_books(draw):
+def seed_books(draw, min_n=1, max_n=13):
     """Valid books of 0 to 16 words at n <= 13, on both sides of the n = 6/7
-    switch from one bitset block to many, at any distance."""
-    n = draw(st.integers(1, 13))
+    switch from one bitset block to many and of the n = 12/13 switch from
+    the ball table to the bitset, at any distance."""
+    n = draw(st.integers(min_n, max_n))
     d = draw(st.integers(1, n))
     raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
     return Codebook.from_values(n, min(3, n), d, greedy_filter(n, d, raw))
@@ -172,7 +173,7 @@ class TestExtend:
         """
         golay = extend_codebook(Codebook(n=23, k=12, d=7))
         assert golay.m == 1 << 12
-        weights = Counter(v.bit_count() for v in golay.values)
+        weights = Counter(v.bit_count() for v in golay.values.tolist())
         assert weights == {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
 
     def test_bounded_memory_at_n24(self):
@@ -194,9 +195,66 @@ class TestExtend:
         d = data.draw(st.integers(1, min(3, n)))
         book = small_books(data.draw, n, min(2, n), d)
         extended = extend_codebook(book)
-        assert set(book.values) <= set(extended.values)
+        assert set(book.values.tolist()) <= set(extended.values.tolist())
         assert extended.is_valid()
         assert extend_codebook(extended) == extended
+
+
+class TestExtendKernels:
+    """The ball-table and bitset kernels called directly, each where it can run.
+
+    extend_codebook only reaches the bitset kernel at n >= 13, so these
+    tests keep it covered from one block (n = 6) up.
+    """
+
+    @classmethod
+    def teardown_class(cls):
+        search._ball_table.cache_clear()  # n = 13 tables take 8 MiB each
+
+    @given(seed_books(min_n=6))
+    @settings(max_examples=120, deadline=None)
+    def test_both_kernels_match_ball_scatter(self, book):
+        expected = ball_scatter_extend(book)
+        assert search._table_extend(book) == expected
+        assert search._bitset_extend(book) == expected
+
+    @given(seed_books(max_n=5))
+    @settings(max_examples=60, deadline=None)
+    def test_table_kernel_below_one_block(self, book):
+        assert search._table_extend(book) == ball_scatter_extend(book)
+
+    def test_table_matches_brute_force_ball(self):
+        search._ball_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = search._ball_table(12, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4,096 ints of 4,096 bits hold 2 MiB; one distance block adds 1.5 MiB
+        assert peak < 6 << 20
+        assert len(table) == 1 << 12
+        for x in np.random.default_rng(0).integers(0, 1 << 12, size=40).tolist():
+            ball = sum(1 << y for y in range(1 << 12) if (x ^ y).bit_count() <= 3)
+            assert table[x] == ball
+
+    def test_balls_bitset_gathers_one_column_per_round(self):
+        # the 2**19 even-weight words at n = 20
+        words = np.arange(1 << 20, dtype=np.uint32)
+        even = np.bitwise_count(words) % 2 == 0
+        words = words[even]
+        expected = np.packbits(even, bitorder="little").view("<u8")
+        assert np.array_equal(search._balls_bitset(words, 20, 0), expected)
+        tracemalloc.start()
+        try:
+            bits = search._balls_bitset(words, 20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(bits == np.uint64(search._FULL))
+        # 8 bytes per word for each of the words, blocks, low parts and one
+        # gathered column: 16 MiB; a (m, 7) low-ball table would add 24 MiB
+        assert peak < 24 << 20
 
 
 class TestLocalSearch:
@@ -208,7 +266,7 @@ class TestLocalSearch:
         book = small_books(data.draw, n, min(2, n), d)
         positions = data.draw(st.sets(st.integers(0, n - 1)))
         result = local_search(book, positions)
-        assert set(book.values) <= set(result.values)
+        assert set(book.values.tolist()) <= set(result.values.tolist())
         assert result.is_valid()
         assert extend_codebook(result) == result
 
@@ -244,7 +302,7 @@ class TestEffectiveWeight:
     @given(random_books(), st.booleans())
     def test_matches_sorted_reference(self, book, literal):
         """Differential check against a plain-Python ranking of the values."""
-        ranked = sorted(book.values, key=lambda v: (-v.bit_count(), -v))
+        ranked = sorted(book.values.tolist(), key=lambda v: (-v.bit_count(), -v))
         ones = [v.bit_count() for v in ranked]
         if book.m == 0:
             expected = Fraction(0)
@@ -303,12 +361,12 @@ class TestRecombination:
         anchor = 0b000
         # split 0: the near side is empty, so the children trade all codewords
         child_one, child_two = recombine_pair(first, second, anchor, 0)
-        assert set(child_one.values) == {0b101, 0b110}
-        assert set(child_two.values) == {0b000, 0b011}
+        assert set(child_one.values.tolist()) == {0b101, 0b110}
+        assert set(child_two.values.tolist()) == {0b000, 0b011}
         # split n+d: the far side is empty, so each child keeps its parent
         child_one, child_two = recombine_pair(first, second, anchor, 5)
-        assert set(child_one.values) == set(first.values)
-        assert set(child_two.values) == set(second.values)
+        assert child_one.values.tolist() == first.values.tolist()
+        assert child_two.values.tolist() == second.values.tolist()
 
     def test_rejects_mismatched_parents(self):
         first = Codebook.from_values(3, 2, 2, [0b000])
