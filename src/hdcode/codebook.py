@@ -175,6 +175,19 @@ def min_distance(book: Codebook) -> int:
     return min(int(block.min()) for _, block in _distance_blocks(book))
 
 
+def distance_distribution(book: Codebook) -> np.ndarray:
+    """B[w] = number of ordered codeword pairs (i, j) at Hamming distance w.
+
+    A length-(n+1) int64 array.  Each word pairs with itself, so B[0] = m
+    and the entries sum to m**2.
+    """
+    counts = np.zeros(book.n + 2, dtype=np.int64)
+    for _, block in _distance_blocks(book):
+        counts += np.bincount(block.ravel(), minlength=book.n + 2)
+    counts[0] = book.m  # bin n+1 holds the self-distances
+    return counts[:-1]
+
+
 def total_ones(book: Codebook) -> int:
     """Sum of Hamming weights over all codewords (the quantity maximized)."""
     return int(np.bitwise_count(book.values).sum())

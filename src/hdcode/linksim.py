@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, message_order
-from .oracle import exact_distance_spectrum
 
 SHARD_SIZE = 1 << 14
 
@@ -90,7 +89,7 @@ def q_function(x):
     """Gaussian tail probability Q(x); accepts scalars or arrays.
 
     The stdlib erfc is applied per element: the arguments are an SNR grid or
-    a distance spectrum, a few dozen values at most.
+    a distance distribution, a few dozen values at most.
     """
     z = np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
     return 0.5 * np.array([math.erfc(v) for v in z.flat]).reshape(z.shape)
@@ -197,25 +196,26 @@ def simulate_bler(
     return BlerEstimate.from_counts(errors, trials)
 
 
-def theoretical_bler_dominant(book: Codebook, params: ChannelParams) -> float:
+def theoretical_bler_dominant(distribution: np.ndarray, params: ChannelParams) -> float:
     """Minimum-distance term of the union bound, averaged over messages.
 
-    Counts the codeword pairs at the codebook's actual minimum distance delta
-    and returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)).
+    `distribution` is the codebook's distance distribution (see
+    codebook.distance_distribution).  With delta the codebook's actual
+    minimum distance, returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)).
     """
-    spectrum = exact_distance_spectrum(book)
-    delta = spectrum.min_distance
-    multiplicity = spectrum.total_at(delta)
-    return float(multiplicity / book.m * q_function(math.sqrt(delta * params.ebn0)))
+    m = int(distribution[0])
+    nonzero = np.flatnonzero(distribution[1:])
+    if nonzero.size == 0:
+        raise ValueError("a single codeword has no distances")
+    delta = int(nonzero[0]) + 1
+    return float(int(distribution[delta]) / m * q_function(math.sqrt(delta * params.ebn0)))
 
 
-def theoretical_bler_union(book: Codebook, params: ChannelParams) -> float:
+def theoretical_bler_union(distribution: np.ndarray, params: ChannelParams) -> float:
     """Full pairwise union bound, averaged over messages and clamped to 1."""
-    spectrum = exact_distance_spectrum(book)
-    totals = spectrum.counts.sum(axis=0)
-    dists = np.nonzero(totals)[0]
-    dists = dists[dists > 0]
+    m = int(distribution[0])
+    dists = np.flatnonzero(distribution[1:]) + 1
     value = float(
-        (totals[dists] * q_function(np.sqrt(dists * params.ebn0))).sum() / book.m
+        (distribution[dists] * q_function(np.sqrt(dists * params.ebn0))).sum() / m
     )
     return min(value, 1.0)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import Codebook, total_ones
+from .codebook import Codebook, distance_distribution, total_ones
 from .linksim import (
     ChannelParams,
     simulate_bler,
@@ -142,8 +142,20 @@ def _point_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _theory_distribution(book: Codebook, mode: str) -> np.ndarray | None:
+    """The distance distribution the theory modes read; None under sim."""
+    if mode == MODE_SIM:
+        return None
+    if book.m != book.size_target:
+        raise ValueError(
+            f"theory BLER requires exactly 2**k = {book.size_target} codewords, got {book.m}"
+        )
+    return distance_distribution(book)
+
+
 def _bler_at(
     book: Codebook,
+    distribution: np.ndarray | None,
     snr_db: float,
     mode: str,
     trials: int,
@@ -153,9 +165,9 @@ def _bler_at(
     """(bler, ci95, trials) of one codebook at one SNR under one mode."""
     params = ChannelParams(ebn0_db=snr_db)
     if mode == MODE_THEORY_DOMINANT:
-        return theoretical_bler_dominant(book, params), 0.0, 0
+        return theoretical_bler_dominant(distribution, params), 0.0, 0
     if mode == MODE_THEORY_UNION:
-        return theoretical_bler_union(book, params), 0.0, 0
+        return theoretical_bler_union(distribution, params), 0.0, 0
     if mode == MODE_SIM:
         est = simulate_bler(book, params, trials, seed, threads)
         return est.point, est.ci95_halfwidth, est.trials
@@ -181,9 +193,12 @@ def bler_table(
     grid = sorted(float(s) for s in snr_grid)
     if not grid:
         raise ValueError("snr_grid is empty")
+    distribution = _theory_distribution(book, mode)
     rows = []
     for idx, snr in enumerate(grid):
-        bler, ci, used = _bler_at(book, snr, mode, trials, _point_seed(seed, idx), threads)
+        bler, ci, used = _bler_at(
+            book, distribution, snr, mode, trials, _point_seed(seed, idx), threads
+        )
         rows.append(BlerRow(snr_db=snr, bler=bler, ci95=ci, trials=used))
     return BlerTable(codebook_id=codebook_id, mode=mode, rows=tuple(rows))
 
@@ -218,6 +233,7 @@ def tradeoff_sweep(
     if not grid:
         raise ValueError("snr_grid is empty")
 
+    distributions = [_theory_distribution(book, mode) for book in codebooks]
     points = [
         (bi, book, si, snr)
         for bi, book in enumerate(codebooks)
@@ -226,7 +242,9 @@ def tradeoff_sweep(
 
     def evaluate(point: tuple[int, Codebook, int, float]) -> tuple[float, float, int]:
         bi, book, si, snr = point
-        return _bler_at(book, snr, mode, trials, _point_seed(seed, bi, si), threads=1)
+        return _bler_at(
+            book, distributions[bi], snr, mode, trials, _point_seed(seed, bi, si), threads=1
+        )
 
     if threads > 1 and mode == MODE_SIM:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,17 +1,15 @@
 """Exhaustive ground truth for small design instances.
 
-Branch-and-bound over all 2**k-subsets of words, plus exact pairwise distance
-spectra.  Capacity is capped hard: past n=6 or k=3 the subset space is too
-large for an exact scan to finish in test time.
+Branch-and-bound over all 2**k-subsets of words.  Capacity is capped hard:
+past n=6 or k=3 the subset space is too large for an exact scan to finish in
+test time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .codebook import Codebook, _distance_blocks
+from .codebook import Codebook
 
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 3
@@ -27,25 +25,6 @@ class OracleResult:
     @property
     def feasible(self) -> bool:
         return self.optimum_ones is not None
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceSpectrum:
-    """counts[i, dist] = number of codewords at Hamming distance dist from codeword i."""
-
-    n: int
-    d: int
-    counts: np.ndarray
-
-    def total_at(self, dist: int) -> int:
-        return int(self.counts[:, dist].sum())
-
-    @property
-    def min_distance(self) -> int:
-        nonzero = np.nonzero(self.counts.sum(axis=0)[1:])[0]
-        if nonzero.size == 0:
-            raise ValueError("spectrum of a single codeword has no distances")
-        return int(nonzero[0]) + 1
 
 
 def exhaustive_best_codebook(n: int, k: int, d: int) -> OracleResult:
@@ -95,20 +74,3 @@ def exhaustive_best_codebook(n: int, k: int, d: int) -> OracleResult:
         return OracleResult(None, None)
     return OracleResult(best_ones, Codebook.from_values(n, k, d, best))
 
-
-def exact_distance_spectrum(book: Codebook) -> DistanceSpectrum:
-    """Per-codeword distance distribution of a complete codebook."""
-    if book.m != book.size_target:
-        raise ValueError(
-            f"spectrum requires exactly 2**k = {book.size_target} codewords, got {book.m}"
-        )
-    # one bincount per block: row r's distances are shifted into bins
-    # r*(n+2) ... r*(n+2) + n+1, the last of which holds the self-distance
-    width = book.n + 2
-    counts = np.empty((book.m, width - 1), dtype=np.int64)
-    for start, block in _distance_blocks(book):
-        rows = len(block)
-        shifted = block + np.arange(0, rows * width, width)[:, None]
-        binned = np.bincount(shifted.ravel(), minlength=rows * width)
-        counts[start : start + rows] = binned.reshape(rows, width)[:, :-1]
-    return DistanceSpectrum(book.n, book.d, counts)

@@ -17,6 +17,7 @@ import pytest
 from hdcode import (
     ChannelParams,
     Codebook,
+    distance_distribution,
     energy_metrics,
     exhaustive_best_codebook,
     genetic_local_search,
@@ -145,11 +146,12 @@ def test_criterion_5_theory_vs_simulation(designed_books):
         worst_factor = 1.0
         union_violations = 0
         in_band = 0
+        dist = distance_distribution(book)
         for index, snr in enumerate(range(0, 9)):
             params = ChannelParams(float(snr))
             estimate = simulate_bler(book, params, 10**6, seed=5000 + 100 * d + index, threads=4)
-            dominant = theoretical_bler_dominant(book, params)
-            union = theoretical_bler_union(book, params)
+            dominant = theoretical_bler_dominant(dist, params)
+            union = theoretical_bler_union(dist, params)
             if 1e-4 <= estimate.point <= 1e-1:
                 in_band += 1
                 worst_factor = max(
@@ -171,13 +173,14 @@ def test_criterion_6_theory_orderings(designed_books):
     grid = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     d_family = [(10, 3, 3), (10, 3, 4), (10, 3, 5)]
     k_family = [(10, 5, 3), (10, 4, 3), (10, 3, 3)]
+    dists = {case: distance_distribution(designed_books[case]) for case in d_family + k_family}
     failures = []
     for snr in grid:
         params = ChannelParams(snr)
-        d_values = [theoretical_bler_dominant(designed_books[case], params) for case in d_family]
+        d_values = [theoretical_bler_dominant(dists[case], params) for case in d_family]
         if not (d_values[0] > d_values[1] > d_values[2]):
             failures.append(("d", snr))
-        k_values = [theoretical_bler_dominant(designed_books[case], params) for case in k_family]
+        k_values = [theoretical_bler_dominant(dists[case], params) for case in k_family]
         if not (k_values[0] > k_values[1] > k_values[2]):
             failures.append(("k", snr))
     ok = not failures
@@ -193,7 +196,9 @@ def test_criterion_7_tradeoff_trends(designed_books):
     qt = {case: energy_metrics(book).energy_per_time for case, book in designed_books.items()}
     params = ChannelParams(8.0)
     tp = {
-        case: throughput(book, min(1.0, theoretical_bler_dominant(book, params)))
+        case: throughput(
+            book, min(1.0, theoretical_bler_dominant(distance_distribution(book), params))
+        )
         for case, book in designed_books.items()
     }
     comparisons = [

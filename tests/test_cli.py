@@ -161,6 +161,15 @@ class TestBlerCommand:
         assert main(["bler", "--codebook", book_path, "--snr-db", "zork"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_theory_on_incomplete_book_exit_one(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])))
+        result = run_cli("bler", "--codebook", str(path), "--snr-db", "0:2",
+                         "--mode", "theory-union")
+        assert result.returncode == 1
+        assert "exactly 2**k = 4 codewords, got 3" in result.stderr
+        assert result.stdout == ""
+
 
 class TestSweepCommand:
     def test_csv_covers_cross_product(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from hdcode import (
     Codebook,
     CodebookFormatError,
-    exact_distance_spectrum,
+    distance_distribution,
     extend_codebook,
     finalize,
     message_order,
@@ -263,13 +264,13 @@ def brute_first_close_pair(book):
     return None
 
 
-def brute_spectrum(book):
+def brute_distribution(book):
+    """Ordered pairs (i, j), i == j included, counted by Hamming distance."""
     values = book.values.tolist()
-    counts = [[0] * (book.n + 1) for _ in values]
-    for i, a in enumerate(values):
-        for j, b in enumerate(values):
-            if i != j:
-                counts[i][(a ^ b).bit_count()] += 1
+    counts = [0] * (book.n + 1)
+    for a in values:
+        for b in values:
+            counts[(a ^ b).bit_count()] += 1
     return counts
 
 
@@ -283,7 +284,7 @@ def complete_books(draw):
 
 
 class TestDistanceKernel:
-    """validate, min_distance and the spectrum share one row-block kernel."""
+    """validate, min_distance and the distance distribution share one row-block kernel."""
 
     @pytest.mark.parametrize("rows", [None, 1, 3])
     @given(book=complete_books())
@@ -303,14 +304,13 @@ class TestDistanceKernel:
                 (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
             )
             assert min_distance(book) == naive
-            counts = exact_distance_spectrum(book).counts
-            assert counts.tolist() == brute_spectrum(book)
+            assert distance_distribution(book).tolist() == brute_distribution(book)
 
     def test_golay_book_stays_within_memory_bound(self):
         book = extend_codebook(Codebook(23, 12, 7))
         assert book.m == 4096
         for run in (book.validate, lambda: min_distance(book),
-                    lambda: exact_distance_spectrum(book)):
+                    lambda: distance_distribution(book)):
             tracemalloc.start()
             try:
                 run()
@@ -318,6 +318,32 @@ class TestDistanceKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 8 << 20
-        # the binary Golay code is distance-invariant: A_7 = 253 from every word
+        # the binary Golay code is distance-invariant: every word sees the
+        # weight enumerator, so B is 4096 times it
         assert min_distance(book) == 7
-        assert np.all(exact_distance_spectrum(book).counts[:, 7] == 253)
+        enumerator = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+        expected = [4096 * enumerator.get(w, 0) for w in range(24)]
+        assert distance_distribution(book).tolist() == expected
+
+
+class TestDistanceDistribution:
+    def test_two_codeword_book(self):
+        book = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
+        dist = distance_distribution(book)
+        assert dist.dtype == np.int64
+        assert dist.tolist() == [2] + [0] * 9 + [2]
+
+    def test_hamming_code_distance_profile(self):
+        book = extend_codebook(Codebook(n=7, k=4, d=3))
+        dist = distance_distribution(book)
+        # every codeword sees 7 others at distance 3, 7 at 4, and 1 at 7
+        assert dist[3] == dist[4] == 16 * 7
+        assert dist[7] == 16
+        assert dist.sum() == 16 * 16
+        assert np.flatnonzero(dist[1:])[0] + 1 == 3 == min_distance(book)
+
+    def test_full_space_is_binomial(self):
+        # d=1 admits every length-5 word, and k=5 makes that a complete book
+        book = extend_codebook(Codebook(n=5, k=5, d=1))
+        dist = distance_distribution(book)
+        assert dist.tolist() == [32 * math.comb(5, w) for w in range(6)]

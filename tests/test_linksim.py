@@ -12,6 +12,7 @@ from hdcode import (
     BlerEstimate,
     ChannelParams,
     Codebook,
+    distance_distribution,
     encode,
     message_order,
     ml_decode,
@@ -333,42 +334,47 @@ class TestSimulateBler:
 
 class TestTheoreticalBler:
     def test_repetition_pair_equals_pairwise_error(self):
+        dist = distance_distribution(REPETITION_PAIR)
         for snr in (0.0, 2.0, 4.0):
             params = ChannelParams(snr)
             expected = float(q_function(math.sqrt(10 * params.ebn0)))
-            assert theoretical_bler_dominant(REPETITION_PAIR, params) == pytest.approx(expected)
-            assert theoretical_bler_union(REPETITION_PAIR, params) == pytest.approx(expected)
+            assert theoretical_bler_dominant(dist, params) == pytest.approx(expected)
+            assert theoretical_bler_union(dist, params) == pytest.approx(expected)
 
     def test_equidistant_book_hand_value(self):
         # every codeword has 3 neighbors at distance 2; at Eb/N0 = 4 the
         # dominant term is 3 * Q(sqrt(8)) ~= 7.017e-3
         params = ChannelParams(10 * math.log10(4.0))
-        value = theoretical_bler_dominant(EQUIDISTANT_4_2, params)
+        value = theoretical_bler_dominant(distance_distribution(EQUIDISTANT_4_2), params)
         assert value == pytest.approx(3 * float(q_function(math.sqrt(8))), rel=1e-12)
         assert value == pytest.approx(7.0166e-3, rel=1e-3)
 
     def test_union_dominates_dominant_term(self):
         book = Codebook.from_values(4, 2, 1, [0b1111, 0b1110, 0b1101, 0b1011])
+        dist = distance_distribution(book)
         for snr in (0.0, 4.0, 8.0):
             params = ChannelParams(snr)
-            assert theoretical_bler_union(book, params) >= theoretical_bler_dominant(book, params) - 1e-15
+            assert theoretical_bler_union(dist, params) >= theoretical_bler_dominant(dist, params) - 1e-15
 
     def test_union_clamped_to_one(self):
         book = Codebook.from_values(4, 2, 1, [0b1111, 0b1110, 0b1101, 0b1011])
-        assert theoretical_bler_union(book, ChannelParams(-10.0)) == 1.0
+        assert theoretical_bler_union(distance_distribution(book), ChannelParams(-10.0)) == 1.0
 
     def test_dominant_uses_actual_min_distance(self):
         # declared d=1 but the actual minimum distance is 2
         book = EQUIDISTANT_4_2
         loose = Codebook.from_values(4, 2, 1, book.values)
         params = ChannelParams(3.0)
-        assert theoretical_bler_dominant(loose, params) == theoretical_bler_dominant(book, params)
+        assert theoretical_bler_dominant(distance_distribution(loose), params) == (
+            theoretical_bler_dominant(distance_distribution(book), params)
+        )
 
     def test_flat_spectrum_makes_bounds_agree(self):
         # with every pair at the same distance the dominant term is the
         # whole union bound
+        dist = distance_distribution(EQUIDISTANT_4_2)
         for snr in (2.0, 5.0, 8.0):
             params = ChannelParams(snr)
-            dominant = theoretical_bler_dominant(EQUIDISTANT_4_2, params)
-            union = theoretical_bler_union(EQUIDISTANT_4_2, params)
+            dominant = theoretical_bler_dominant(dist, params)
+            union = theoretical_bler_union(dist, params)
             assert abs(dominant - union) <= 1e-6 * union

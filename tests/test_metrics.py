@@ -1,5 +1,6 @@
 import pytest
 
+import hdcode.metrics
 from hdcode import (
     Codebook,
     bler_table,
@@ -19,6 +20,8 @@ from hdcode.metrics import (
 
 DENSE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
 SPARSE = Codebook.from_values(3, 2, 2, [0b111, 0b100, 0b010, 0b001])
+INCOMPLETE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])
+THEORY_MODES = [MODE_THEORY_DOMINANT, MODE_THEORY_UNION]
 
 
 def table(codebook_id, points):
@@ -95,6 +98,11 @@ class TestBlerTable:
         with pytest.raises(ValueError):
             bler_table(DENSE, [])
 
+    @pytest.mark.parametrize("mode", THEORY_MODES)
+    def test_theory_refuses_incomplete_book(self, mode):
+        with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
+            bler_table(INCOMPLETE, [0.0], mode=mode)
+
 
 class TestTradeoffSweep:
     def test_cross_product_order(self):
@@ -129,6 +137,43 @@ class TestTradeoffSweep:
             tradeoff_sweep([], [0.0])
         with pytest.raises(ValueError):
             tradeoff_sweep([DENSE], [])
+
+    @pytest.mark.parametrize("mode", THEORY_MODES)
+    def test_theory_refuses_incomplete_book(self, mode):
+        with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
+            tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode)
+
+
+class TestDistributionBuilds:
+    """The theory modes build one distance distribution per codebook, not per SNR point."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+        build = hdcode.metrics.distance_distribution
+
+        def counting(book):
+            made.append(book)
+            return build(book)
+
+        monkeypatch.setattr(hdcode.metrics, "distance_distribution", counting)
+        return made
+
+    @pytest.mark.parametrize("mode", THEORY_MODES)
+    def test_table_builds_once(self, calls, mode):
+        bler_table(DENSE, [0.5 * i for i in range(17)], mode=mode)
+        assert calls == [DENSE]
+
+    @pytest.mark.parametrize("mode", THEORY_MODES)
+    def test_sweep_builds_once_per_book(self, calls, mode):
+        books = [DENSE, SPARSE, DENSE]
+        tradeoff_sweep(books, [0.0, 2.0, 4.0], mode=mode, ids=["a", "b", "c"])
+        assert calls == books
+
+    def test_sim_builds_none(self, calls):
+        bler_table(DENSE, [0.0, 2.0], mode=MODE_SIM, trials=1_000)
+        tradeoff_sweep([DENSE, SPARSE], [0.0], mode=MODE_SIM, trials=1_000)
+        assert calls == []
 
 
 class TestSelectCodebook:

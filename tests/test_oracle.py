@@ -1,16 +1,8 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 
-from hdcode import (
-    Codebook,
-    exact_distance_spectrum,
-    exhaustive_best_codebook,
-    extend_codebook,
-    min_distance,
-    total_ones,
-)
+from hdcode import exhaustive_best_codebook, total_ones
 from hdcode.oracle import ORACLE_MAX_K, ORACLE_MAX_N
 
 
@@ -71,34 +63,3 @@ class TestExhaustiveSearch:
         second = exhaustive_best_codebook(4, 2, 2)
         assert first.witness == second.witness
 
-
-class TestDistanceSpectrum:
-    def test_two_codeword_book(self):
-        book = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
-        spectrum = exact_distance_spectrum(book)
-        assert spectrum.counts.shape == (2, 11)
-        assert spectrum.total_at(10) == 2
-        assert spectrum.min_distance == 10
-        assert spectrum.counts.sum() == 2
-
-    def test_hamming_code_distance_profile(self):
-        book = extend_codebook(Codebook(n=7, k=4, d=3))
-        spectrum = exact_distance_spectrum(book)
-        # every codeword sees 7 others at distance 3, 7 at 4, and 1 at 7
-        assert np.all(spectrum.counts[:, 3] == 7)
-        assert np.all(spectrum.counts[:, 4] == 7)
-        assert np.all(spectrum.counts[:, 7] == 1)
-        assert spectrum.counts.sum() == 16 * 15
-        assert spectrum.min_distance == 3 == min_distance(book)
-
-    def test_rows_sum_to_size_minus_one(self):
-        # d=1 admits every length-5 word, and k=5 makes that a complete book
-        book = extend_codebook(Codebook(n=5, k=5, d=1))
-        spectrum = exact_distance_spectrum(book)
-        assert np.all(spectrum.counts.sum(axis=1) == book.m - 1)
-        assert np.all(spectrum.counts[:, 0] == 0)
-
-    def test_requires_exact_size(self):
-        book = Codebook.from_values(4, 2, 1, [0, 1, 2])
-        with pytest.raises(ValueError):
-            exact_distance_spectrum(book)

@@ -1,0 +1,33 @@
+import ast
+from pathlib import Path
+
+import hdcode
+
+# Modules depend in one direction: codebook -> search/oracle/linksim ->
+# metrics -> cli.  Each module may import from these hdcode modules only.
+ALLOWED = {
+    "codebook": set(),
+    "search": {"codebook"},
+    "oracle": {"codebook"},
+    "linksim": {"codebook"},
+    "metrics": {"codebook", "linksim"},
+    "cli": {"codebook", "metrics", "oracle", "search"},
+}
+EXEMPT = {"__init__", "__main__"}
+
+
+def relative_imports(path):
+    """Sibling modules a source file imports, by `from .x import` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_in_dependency_order():
+    sources = {p.stem: p for p in Path(hdcode.__file__).parent.glob("*.py")}
+    assert set(sources) - EXEMPT == set(ALLOWED)
+    for name, allowed in ALLOWED.items():
+        extra = relative_imports(sources[name]) - allowed
+        assert not extra, f"{name} imports {sorted(extra)} against the dependency order"
