@@ -10,7 +10,8 @@ of 2**k codewords, and a minimum pairwise Hamming distance of d.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,15 +36,18 @@ class Codebook:
     (MSB first), so codebook equality and hashing are structural, over
     word_bytes().  Construction checks the parameter domain, that every
     value fits in n bits, and distinctness; the O(m^2 n) pairwise-distance
-    invariant is checked by validate().
+    invariant is checked by validate().  from_values drops duplicates where
+    the constructor refuses them, through the same __post_init__.
     """
 
     n: int
     k: int
     d: int
     values: np.ndarray = ()
+    _: KW_ONLY
+    _dedupe: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _dedupe: bool):
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
         if not 0 < self.d <= self.n:
@@ -51,11 +55,13 @@ class Codebook:
         if not 0 < self.k <= self.n:
             raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k} n={self.n}")
         values = _word_array(self.values, self.n)
-        if not (values[1:] > values[:-1]).all():
+        if _dedupe or not (values[1:] > values[:-1]).all():
             values = np.sort(values)
-            same = values[1:] == values[:-1]
-            if same.any():
-                raise ValueError(f"duplicate codeword {int(values[same.argmax()]):0{self.n}b}")
+            step = values[1:] != values[:-1]
+            if not step.all():
+                if not _dedupe:
+                    raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{self.n}b}")
+                values = values[np.concatenate(([True], step))]
         elif values is self.values and values.flags.writeable:
             values = values.copy()  # the caller's array must not alias the book
         if values.size and int(values[-1]) >> self.n:
@@ -66,19 +72,18 @@ class Codebook:
     @classmethod
     def from_values(cls, n: int, k: int, d: int, values: Iterable[int]) -> "Codebook":
         """Build from raw integer codeword values, deduplicating."""
-        words = np.sort(_word_array(values, n))
-        step = words[1:] != words[:-1]
-        if not step.all():
-            words = words[np.concatenate(([True], step))]
-        words.setflags(write=False)
-        return cls(n, k, d, words)
+        return cls(n, k, d, values, _dedupe=True)
 
     def word_bytes(self) -> bytes:
         """The words as big-endian 4-byte groups.
 
         Byte order of these strings is the order of the word tuples, a book
-        that is a prefix of another coming first.
+        that is a prefix of another coming first.  Built once per book.
         """
+        return self._word_bytes
+
+    @cached_property
+    def _word_bytes(self) -> bytes:
         return self.values.astype(">u4").tobytes()
 
     def __eq__(self, other):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, _distance_blocks, finalize, mutate, total_ones
+from .codebook import Codebook, _distance_blocks, finalize, positions_to_mask, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -99,6 +99,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 # its block and its low part (w & 63) its bit.
 BALL_TABLE_BUDGET_BYTES = 1 << 21  # a 2**n-word table takes 2**(2n-3) bytes
 _LOW_BITS = 6
+_SPLIT_BITS = 3  # the ball rows are kept per value of this many top bits of a block index
 _FULL = (1 << 64) - 1
 
 
@@ -115,17 +116,17 @@ def _ball_table(n: int, radius: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _table_extend(book: Codebook) -> Codebook:
+def _table_extend(book: Codebook, mask: int = 0) -> Codebook:
     """extend_codebook for small n: the free words as one int, cleared ball by ball."""
     ball = _ball_table(book.n, book.d - 1)
     blocked = 0
     for v in book.values.tolist():
-        blocked |= ball[v]
+        blocked |= ball[v ^ mask]
     free = ~blocked & ((1 << (1 << book.n)) - 1)
     added = []
     while free:
         x = (free & -free).bit_length() - 1
-        added.append(x)
+        added.append(x ^ mask)
         free &= ~ball[x]
     return Codebook.from_values(
         book.n, book.k, book.d, np.concatenate((book.values, np.array(added, dtype=np.uint32)))
@@ -145,19 +146,33 @@ def _low_balls() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ball_rows(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def _ball_rows(n: int, radius: int) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """The blocks h of the radius ball around 0, and min(6, radius - popcount(h)).
 
-    The ball around x is that ball translated by XOR: in block h ^ (x >> 6)
-    it holds the low parts within min(6, radius - popcount(h)) of x & 63.
+    The ball around x is that ball translated by XOR: in block h ^ j,
+    j = x >> 6, it holds the low parts within min(6, radius - popcount(h))
+    of x & 63.  Once x is the lowest free word every block below j is full,
+    and h ^ j < j exactly when the top set bit of h is set in j.  Returns
+    (shift, subsets): subsets[j >> shift] holds the rows (int64) and their
+    radii (uint8), less the rows whose top set bit is one of the top
+    _SPLIT_BITS bits of j and is set in j.
     """
     high = np.arange(1 << (n - _LOW_BITS))
     weight = np.bitwise_count(high)
     inside = weight <= radius
-    rows, radii = high[inside], np.minimum(radius - weight[inside], _LOW_BITS)
-    rows.setflags(write=False)
-    radii.setflags(write=False)
-    return rows, radii
+    rows = high[inside]
+    radii = np.minimum(radius - weight[inside], _LOW_BITS).astype(np.uint8)
+    shift = max(n - _LOW_BITS - _SPLIT_BITS, 0)
+    top_bit = np.array([1 << v.bit_length() >> 1 for v in range(1 << (n - _LOW_BITS - shift))])
+    lead = top_bit[rows >> shift]
+    subsets = []
+    for prefix in range(len(top_bit)):
+        keep = (lead & prefix) == 0
+        subset = rows[keep], radii[keep]
+        for part in subset:
+            part.setflags(write=False)
+        subsets.append(subset)
+    return shift, tuple(subsets)
 
 
 def _high_dilate(bits: np.ndarray) -> np.ndarray:
@@ -201,12 +216,12 @@ def _first_free(bits: np.ndarray, j: int) -> int | None:
     return (j << _LOW_BITS) | ((~block & (block + 1)).bit_length() - 1)
 
 
-def _bitset_extend(book: Codebook) -> Codebook:
+def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
     """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks."""
     n, d = book.n, book.d
-    rows, radii = _ball_rows(n, d - 1)
+    shift, subsets = _ball_rows(n, d - 1)
     balls = _low_balls()
-    bits = _balls_bitset(book.values, n, d - 1)
+    bits = _balls_bitset(book.values ^ np.uint32(mask), n, d - 1)
     added = np.empty(64, dtype=np.uint32)
     count = 0
     x = _first_free(bits, 0)
@@ -215,17 +230,24 @@ def _bitset_extend(book: Codebook) -> Codebook:
             added = np.concatenate((added, np.empty_like(added)))
         added[count] = x
         count += 1
-        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].take(radii)
-        x = _first_free(bits, x >> _LOW_BITS)
-    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, added[:count])))
+        j = x >> _LOW_BITS
+        rows, radii = subsets[j >> shift]
+        bits[rows ^ j] |= balls[x & 63].take(radii)
+        x = _first_free(bits, j)
+    added = added[:count] ^ np.uint32(mask)
+    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, added)))
 
 
-def extend_codebook(book: Codebook) -> Codebook:
-    """Greedily extend to a maximal codebook, scanning words in counter order.
+def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
+    """Greedily extend to a maximal codebook, scanning x ^ mask for x in counter order.
 
-    Every word from 0...0 to 1...1 is added exactly when it keeps the minimum
-    distance >= d.  The output contains the input, and no word of length n can
-    be added to it without violating d.
+    For x from 0...0 to 1...1, the word x ^ mask is added exactly when it
+    keeps the minimum distance >= d.  The output contains the input, and no
+    word of length n can be added to it without violating d.  XOR with the
+    mask is a self-inverse isometry, so the result is the counter-order
+    extension of the book flipped by the mask, flipped back: the kernels
+    below work in the flipped frame, reading each input word v as v ^ mask
+    and adding x ^ mask for each free x, and the output book is built once.
 
     While a table of 2**n balls fits BALL_TABLE_BUDGET_BYTES (n <= 12), the
     free words are one 2**n-bit int: the input words' balls are cleared from
@@ -240,24 +262,30 @@ def extend_codebook(book: Codebook) -> Codebook:
     64-bit low-part set from a (64, 7) table, at row x & 63 and column
     min(6, d-1 - popcount(h)), ORed into block h ^ (x >> 6).  Every word
     below x is then blocked, so the next candidate is the lowest clear bit
-    from x's block on.  Memory is O(2**(n-6)) 8-byte words; no ball is
-    enumerated word by word.
+    from x's block on.  The blocks below x's block are then full, so the
+    rows h with h ^ (x >> 6) below it need no write: the row table is kept
+    in 8 subsets, one per value of the top 3 bits of x >> 6, each leaving
+    out the rows it can tell land below.  Memory is O(2**(n-6)): the bitset
+    and the subsets, at 9 bytes per row about 4.5 full row tables together.
+    No ball is enumerated word by word.
     """
+    if not 0 <= mask < 1 << book.n:
+        raise ValueError(f"mask {mask} does not fit in n={book.n} bits")
     if (1 << 2 * book.n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
-        return _table_extend(book)
-    return _bitset_extend(book)
+        return _table_extend(book, mask)
+    return _bitset_extend(book, mask)
 
 
 def local_search(book: Codebook, positions: Iterable[int]) -> Codebook:
     """Extend the codebook to a maximal one through a mutated coordinate frame.
 
-    The bit flips at `positions` are applied, the greedy extension runs, and
-    the same flips are applied again.  Since flipping is a self-inverse
-    isometry the result contains the original codebook and keeps distance d,
-    while different position sets reach different maximal codebooks.
+    Equal to mutating the book at `positions`, extending it greedily and
+    mutating the result back, word for word, but done as one extension under
+    the positions' XOR mask.  Since flipping is a self-inverse isometry the
+    result contains the original codebook and keeps distance d, while
+    different position sets reach different maximal codebooks.
     """
-    positions = tuple(positions)
-    return mutate(extend_codebook(mutate(book, positions)), positions)
+    return extend_codebook(book, positions_to_mask(positions, book.n))
 
 
 def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
@@ -266,7 +294,18 @@ def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
     Once a codebook holds at least 2**k codewords its fitness is the ones
     count of its best 2**k-subset, so oversize codebooks are not favored for
     bulk alone.  With literal=True the raw total is used instead.
+
+    A book never changes, so each weight is computed once per book and kept
+    in the book's instance dict, as functools.cached_property keeps a value.
     """
+    slot = "_literal_weight" if literal else "_effective_weight"
+    weight = vars(book).get(slot)
+    if weight is None:
+        weight = vars(book)[slot] = _weight(book, literal)
+    return weight
+
+
+def _weight(book: Codebook, literal: bool) -> Fraction:
     m, target = book.m, book.size_target
     if m == 0:
         return Fraction(0)
@@ -461,7 +500,7 @@ def _best_complete(
 ) -> tuple[Codebook | None, int | None]:
     for book in population.codebooks:
         if book.is_complete:
-            ones = _best_subset_ones(book)
+            ones = int(effective_weight(book))
             if best_ones is None or ones > best_ones:
                 best, best_ones = finalize(book), ones
     return best, best_ones

@@ -17,6 +17,7 @@ from hdcode import (
     min_distance,
     mutate,
     parent_probabilities,
+    positions_to_mask,
     recombination,
     recombine_pair,
     selection,
@@ -51,8 +52,20 @@ def ball_masks(n, radius):
     return np.asarray(masks, dtype=np.uint32)
 
 
-def ball_scatter_extend(book):
-    """Reference kernel: a bool array of all 2**n words and one scatter per ball."""
+def mask_positions(mask, n):
+    """The bit positions of an XOR mask, position 0 being the MSB."""
+    return [p for p in range(n) if mask >> (n - 1 - p) & 1]
+
+
+def ball_scatter_extend(book, mask=0):
+    """Reference kernel: a bool array of all 2**n words and one scatter per ball.
+
+    Under a mask it extends the book flipped at the mask's positions and
+    flips the result back.
+    """
+    if mask:
+        positions = mask_positions(mask, book.n)
+        return mutate(ball_scatter_extend(mutate(book, positions)), positions)
     n, d = book.n, book.d
     size = 1 << n
     blocked = np.zeros(size, dtype=bool)
@@ -125,6 +138,11 @@ class TestExtend:
         book = Codebook.from_values(3, 2, 2, [0b110])
         assert extend_codebook(book).bitstrings() == ("000", "011", "101", "110")
 
+    def test_mask_must_fit_n_bits(self):
+        for mask in (-1, 1 << 5):
+            with pytest.raises(ValueError, match="mask"):
+                extend_codebook(Codebook(n=5, k=2, d=2), mask)
+
     def test_greedy_scan_finds_hamming_size(self):
         book = extend_codebook(Codebook(n=7, k=4, d=3))
         assert book.m == 16
@@ -161,9 +179,17 @@ class TestExtend:
             return seen
 
         fast = first_generation()
-        monkeypatch.setattr(search, "extend_codebook", ball_scatter_extend)
+        masks = []
+
+        def reference(book, mask=0):
+            masks.append(mask)
+            return ball_scatter_extend(book, mask)
+
+        monkeypatch.setattr(search, "extend_codebook", reference)
         assert first_generation() == fast
         assert len(fast) == 3
+        # ten initial books and ten children went through the reference
+        assert len(masks) == 20 and any(masks)
 
     def test_golay_code(self):
         """The (23, 2**12, 7) lexicode is the binary Golay code.
@@ -218,10 +244,33 @@ class TestExtendKernels:
         assert search._table_extend(book) == expected
         assert search._bitset_extend(book) == expected
 
+    @given(seed_books(min_n=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_masked_kernels_match_flipped_ball_scatter(self, book, data):
+        mask = data.draw(st.integers(0, (1 << book.n) - 1))
+        positions = mask_positions(mask, book.n)
+        expected = mutate(ball_scatter_extend(mutate(book, positions)), positions)
+        assert search._table_extend(book, mask) == expected
+        assert search._bitset_extend(book, mask) == expected
+
     @given(seed_books(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_table_kernel_below_one_block(self, book):
         assert search._table_extend(book) == ball_scatter_extend(book)
+
+    @pytest.mark.parametrize(
+        "n,radius", [(6, 3), (7, 1), (8, 2), (9, 5), (10, 3), (11, 2), (14, 4)]
+    )
+    def test_ball_rows_leave_out_only_blocks_below(self, n, radius):
+        """Every ball row h with h ^ j >= j is kept for block j; a left-out row
+        lands below j, in a block that is already full."""
+        shift, subsets = search._ball_rows(n, radius)
+        ball = [h for h in range(1 << (n - 6)) if h.bit_count() <= radius]
+        for j in range(1 << (n - 6)):
+            rows, radii = subsets[j >> shift]
+            kept = rows.tolist()
+            assert {h for h in ball if h ^ j >= j} <= set(kept) <= set(ball)
+            assert radii.tolist() == [min(6, radius - h.bit_count()) for h in kept]
 
     def test_table_matches_brute_force_ball(self):
         search._ball_table.cache_clear()
@@ -295,6 +344,25 @@ class TestEffectiveWeight:
         book = Codebook.from_values(3, 1, 1, [0b111, 0b110, 0b101, 0b011])
         assert effective_weight(book) == Fraction(5)
         assert effective_weight(book, literal=True) == Fraction(9)
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_cached_weights_keep_literal_apart(self, first):
+        book = Codebook.from_values(3, 1, 1, [0b111, 0b110, 0b101, 0b011])
+        for literal in (first, not first, first, not first):
+            assert effective_weight(book, literal=literal) == Fraction(9 if literal else 5)
+
+    def test_one_generation_partitions_each_book_once(self, monkeypatch):
+        books = []
+        partition = search._best_subset_ones
+
+        def counting(book):
+            books.append(book)  # held, so no two books share an id
+            return partition(book)
+
+        monkeypatch.setattr(search, "_best_subset_ones", counting)
+        report = genetic_local_search(10, 5, 3, DesignConfig(seed=0, max_generations=1))
+        assert report.succeeded and books
+        assert max(Counter(id(b) for b in books).values()) == 1
 
     def test_empty_book_has_zero_weight(self):
         assert effective_weight(Codebook(n=4, k=2, d=1)) == 0
