@@ -13,11 +13,14 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+# Only codebook loads with this module: each handler imports the modules it
+# runs, so an hdcode process loads no module its subcommand does not use.
 from .codebook import (
     Codebook,
     CodebookFormatError,
@@ -27,22 +30,9 @@ from .codebook import (
     serialize_codebook,
     total_ones,
 )
-from .metrics import (
-    BLER_MODES,
-    DEFAULT_TRIALS,
-    MODE_THEORY_DOMINANT,
-    RULE_MAX_BLER,
-    RULE_MIN_ENERGY,
-    RULE_MIN_THROUGHPUT,
-    BlerRow,
-    BlerTable,
-    SelectionRule,
-    bler_table,
-    select_codebook,
-    tradeoff_sweep,
-)
-from .oracle import ORACLE_MAX_K, ORACLE_MAX_N, exhaustive_best_codebook
-from .search import DesignConfig, genetic_local_search
+
+if TYPE_CHECKING:
+    from .metrics import BlerTable, SelectionRule
 
 logger = logging.getLogger("hdcode.cli")
 
@@ -63,25 +53,39 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr)
 
 
+MAX_SNR_POINTS = 10_000
+
+
+def _snr_value(part: str, text: str) -> float:
+    value = float(part)
+    if not math.isfinite(value):
+        raise CliUsageError(f"SNR grid {text!r} holds the non-finite value {part.strip()!r}")
+    return value
+
+
 def parse_snr_grid(text: str) -> list[float]:
-    """Parse '0,1,2.5' or 'start:stop[:step]' (inclusive) into a sorted grid."""
+    """Parse '0,1,2.5' or 'start:stop[:step]' (inclusive) into a sorted grid.
+
+    Every value must be finite, and a range may hold at most MAX_SNR_POINTS points.
+    """
     text = text.strip()
     try:
         if ":" in text:
-            parts = text.split(":")
+            parts = [_snr_value(p, text) for p in text.split(":")]
             if len(parts) == 2:
-                start, stop = float(parts[0]), float(parts[1])
-                step = 1.0
-            elif len(parts) == 3:
-                start, stop = float(parts[0]), float(parts[1])
-                step = float(parts[2])
-            else:
+                parts.append(1.0)
+            if len(parts) != 3:
                 raise ValueError
+            start, stop, step = parts
             if step <= 0 or stop < start:
                 raise ValueError
-            count = int((stop - start) / step + 1e-9) + 1
-            return [start + i * step for i in range(count)]
-        grid = [float(p) for p in text.split(",") if p.strip()]
+            span = (stop - start) / step + 1e-9
+            if span >= MAX_SNR_POINTS:
+                raise CliUsageError(
+                    f"SNR range {text!r} holds more than {MAX_SNR_POINTS} points"
+                )
+            return [start + i * step for i in range(int(span) + 1)]
+        grid = [_snr_value(p, text) for p in text.split(",") if p.strip()]
         if not grid:
             raise ValueError
         return sorted(grid)
@@ -93,6 +97,8 @@ def parse_snr_grid(text: str) -> list[float]:
 
 def parse_rule(text: str) -> SelectionRule:
     """Parse 'qt>=X', 'throughput>=X', or 'bler<=X' into a SelectionRule."""
+    from .metrics import RULE_MAX_BLER, RULE_MIN_ENERGY, RULE_MIN_THROUGHPUT, SelectionRule
+
     compact = text.replace(" ", "")
     for prefix, kind in (
         ("qt>=", RULE_MIN_ENERGY),
@@ -139,6 +145,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
     """Load a CSV written by the bler subcommand back into a BlerTable."""
+    from .metrics import BlerRow, BlerTable
+
     needed = ("snr_db", "mode", "bler", "ci95", "trials")
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -185,6 +193,8 @@ def _load_library(directory: str) -> list[tuple[Codebook, BlerTable]]:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    from .search import DesignConfig, genetic_local_search
+
     config = DesignConfig(
         population_size=args.population_size,
         init_size_range=tuple(args.init_size),
@@ -234,6 +244,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import ORACLE_MAX_K, ORACLE_MAX_N, exhaustive_best_codebook
+
     if args.n > ORACLE_MAX_N or args.k > ORACLE_MAX_K:
         raise CliUsageError(
             f"oracle is capped at n <= {ORACLE_MAX_N} and k <= {ORACLE_MAX_K}"
@@ -251,6 +263,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bler(args: argparse.Namespace) -> int:
+    from .metrics import bler_table
+
     grid = parse_snr_grid(args.snr_db)
     book = load_codebook(args.codebook)
     table = bler_table(
@@ -268,6 +282,8 @@ def _cmd_bler(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .metrics import tradeoff_sweep
+
     grid = parse_snr_grid(args.snr_db)
     books, ids = _load_books(args.codebook)
     records = tradeoff_sweep(
@@ -296,6 +312,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from .metrics import select_codebook
+
     rule = parse_rule(args.rule)
     library = _load_library(args.library)
     for _, table in library:
@@ -331,13 +349,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
+    # literals, not metrics.BLER_MODES and friends, so that building the parser
+    # does not import metrics; tests/test_cli.py keeps the two equal
     sub.add_argument(
-        "--mode", choices=BLER_MODES, default=MODE_THEORY_DOMINANT,
+        "--mode", choices=("theory-dominant", "theory-union", "sim"), default="theory-dominant",
         help="BLER evaluation mode (default theory-dominant)",
     )
     sub.add_argument(
-        "--trials", type=int, default=DEFAULT_TRIALS,
-        help=f"Monte Carlo trials per point in sim mode (default {DEFAULT_TRIALS})",
+        "--trials", type=int, default=100_000,
+        help="Monte Carlo trials per point in sim mode (default 100000)",
     )
 
 

@@ -160,16 +160,21 @@ def _bler_at(
     mode: str,
     trials: int,
     seed: int,
+    point: tuple[int, ...],
     threads: int,
 ) -> tuple[float, float, int]:
-    """(bler, ci95, trials) of one codebook at one SNR under one mode."""
+    """(bler, ci95, trials) of one codebook at one SNR under one mode.
+
+    A simulation draws from the seed derived from (seed, *point); the theory
+    modes need no seed, and so never import numpy.random.
+    """
     params = ChannelParams(ebn0_db=snr_db)
     if mode == MODE_THEORY_DOMINANT:
         return theoretical_bler_dominant(distribution, params), 0.0, 0
     if mode == MODE_THEORY_UNION:
         return theoretical_bler_union(distribution, params), 0.0, 0
     if mode == MODE_SIM:
-        est = simulate_bler(book, params, trials, seed, threads)
+        est = simulate_bler(book, params, trials, _point_seed(seed, *point), threads)
         return est.point, est.ci95_halfwidth, est.trials
     raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
 
@@ -196,9 +201,7 @@ def bler_table(
     distribution = _theory_distribution(book, mode)
     rows = []
     for idx, snr in enumerate(grid):
-        bler, ci, used = _bler_at(
-            book, distribution, snr, mode, trials, _point_seed(seed, idx), threads
-        )
+        bler, ci, used = _bler_at(book, distribution, snr, mode, trials, seed, (idx,), threads)
         rows.append(BlerRow(snr_db=snr, bler=bler, ci95=ci, trials=used))
     return BlerTable(codebook_id=codebook_id, mode=mode, rows=tuple(rows))
 
@@ -242,9 +245,7 @@ def tradeoff_sweep(
 
     def evaluate(point: tuple[int, Codebook, int, float]) -> tuple[float, float, int]:
         bi, book, si, snr = point
-        return _bler_at(
-            book, distributions[bi], snr, mode, trials, _point_seed(seed, bi, si), threads=1
-        )
+        return _bler_at(book, distributions[bi], snr, mode, trials, seed, (bi, si), threads=1)
 
     if threads > 1 and mode == MODE_SIM:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,11 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hdcode import Codebook, parse_codebook, serialize_codebook, total_ones
-from hdcode.cli import CliUsageError, main, parse_rule, parse_snr_grid
+from hdcode import Codebook, metrics, parse_codebook, serialize_codebook, total_ones
+from hdcode.cli import CliUsageError, build_parser, main, parse_rule, parse_snr_grid
 
 
 def run_cli(*args, env=None):
@@ -30,10 +31,18 @@ class TestParsing:
     def test_snr_range_fractional_step(self):
         assert parse_snr_grid("0:2:0.5") == [0.0, 0.5, 1.0, 1.5, 2.0]
 
-    @pytest.mark.parametrize("bad", ["", "a,b", "5:1", "0:4:0", "1:2:3:4"])
+    @pytest.mark.parametrize("bad", ["", "a,b", "5:1", "0:4:0", "1:2:3:4", "0:8:inf", "0,nan",
+                                     "1e308:1.7e308:1e-300"])
     def test_snr_rejects_malformed(self, bad):
         with pytest.raises(CliUsageError):
             parse_snr_grid(bad)
+
+    def test_snr_range_point_cap(self):
+        from hdcode.cli import MAX_SNR_POINTS
+
+        assert len(parse_snr_grid(f"1:{MAX_SNR_POINTS}")) == MAX_SNR_POINTS
+        with pytest.raises(CliUsageError, match="more than"):
+            parse_snr_grid(f"0:{MAX_SNR_POINTS}")
 
     def test_rule_forms(self):
         assert parse_rule("qt>=0.5").kind == "min-energy-per-time"
@@ -160,6 +169,13 @@ class TestBlerCommand:
     def test_bad_snr_exit_two(self, book_path, capsys):
         assert main(["bler", "--codebook", book_path, "--snr-db", "zork"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf", "-inf:0", "0:8:1e-12", "nan"])
+    def test_unbounded_snr_grid_exit_two(self, book_path, capsys, grid):
+        """Refused up front: no OverflowError, no 8e12-point grid, no nan row."""
+        assert main(["bler", "--codebook", book_path, f"--snr-db={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error") and captured.out == ""
 
     def test_theory_on_incomplete_book_exit_one(self, tmp_path):
         path = tmp_path / "short.json"
@@ -292,3 +308,64 @@ class TestProcessLevel:
         assert quiet.stderr == ""
         assert "simulated 1000 trials in 1 shards on 1 threads" in loud.stderr
         assert "trials/s" in loud.stderr
+
+
+def _option(command, flag):
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subs.choices[command]._actions if flag in a.option_strings)
+
+
+@pytest.mark.parametrize("command", ["bler", "sweep"])
+def test_parser_literals_match_metrics(command):
+    """The parser spells out the metrics constants so that building it imports no metrics."""
+    mode, trials = _option(command, "--mode"), _option(command, "--trials")
+    assert tuple(mode.choices) == metrics.BLER_MODES
+    assert mode.default == metrics.MODE_THEORY_DOMINANT
+    assert trials.default == metrics.DEFAULT_TRIALS
+    assert f"(default {metrics.DEFAULT_TRIALS})" in trials.help
+
+
+class TestImports:
+    """Each command loads only the hdcode modules it runs, in a fresh process."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from hdcode.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'hdcode'),"
+        " 'numpy.random' in sys.modules]))\n"
+    )
+    BASE = {"hdcode", "hdcode.cli", "hdcode.codebook"}
+    EVAL = BASE | {"hdcode.linksim", "hdcode.metrics"}
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("imports")
+        (root / "lib").mkdir()
+        book = root / "lib" / "book.json"
+        book.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [7, 6, 5, 3])))
+        (root / "lib" / "book.csv").write_text(
+            "snr_db,mode,bler,ci95,trials\n0.0,theory-dominant,0.5,0.0,0\n"
+        )
+        return root
+
+    @pytest.mark.parametrize("argv, modules, rng", [
+        (["design", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.search"}, True),
+        (["validate", "{book}"], BASE, False),
+        (["oracle", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.oracle"}, False),
+        (["bler", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False),
+        (["bler", "--codebook", "{book}", "--snr-db", "0", "--mode", "sim", "--trials", "100"],
+         EVAL, True),
+        (["sweep", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False),
+        (["select", "--library", "{lib}", "--snr-db", "0", "--rule", "qt>=0.1"], EVAL, False),
+    ], ids=["design", "validate", "oracle", "bler-theory", "bler-sim", "sweep", "select"])
+    def test_command_loads_only_its_modules(self, files, argv, modules, rng):
+        paths = {"book": files / "lib" / "book.json", "lib": files / "lib"}
+        argv = [a.format(**paths) for a in argv] + ["--out", str(files / "out")]
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, rng_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert set(loaded) == modules
+        assert rng_loaded == rng
