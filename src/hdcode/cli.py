@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -143,19 +144,21 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
+
+
 def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
     """Load a CSV written by the bler subcommand back into a BlerTable."""
     from .metrics import BlerRow, BlerTable
 
-    needed = ("snr_db", "mode", "bler", "ci95", "trials")
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(needed) <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {','.join(needed)}")
+        if reader.fieldnames is None or not set(BLER_COLUMNS) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: expected columns {','.join(BLER_COLUMNS)}")
         rows: list[BlerRow] = []
         modes: set[str] = set()
         for line in reader:
-            for column in needed:
+            for column in BLER_COLUMNS:
                 if not line[column]:
                     raise ValueError(f"{path}: empty {column!r} cell on line {reader.line_num}")
             modes.add(line["mode"])
@@ -277,7 +280,7 @@ def _cmd_bler(args: argparse.Namespace) -> int:
         codebook_id=Path(args.codebook).stem,
     )
     rows = [(r.snr_db, table.mode, r.bler, r.ci95, r.trials) for r in table.rows]
-    _write_text(args.out, _csv_text(("snr_db", "mode", "bler", "ci95", "trials"), rows))
+    _write_text(args.out, _csv_text(BLER_COLUMNS, rows))
     return 0
 
 
@@ -296,17 +299,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ids=ids,
         literal_total=args.literal_total,
     )
-    rows = [
-        (
-            rec.codebook_id, rec.n, rec.k, rec.d, rec.snr_db,
-            rec.bler, rec.throughput, rec.energy_per_bit, rec.energy_per_time,
-        )
-        for rec in records
-    ]
-    header = (
-        "codebook_id", "n", "k", "d", "snr_db",
-        "bler", "throughput", "energy_per_bit", "energy_per_time",
-    )
+    header = [field.name for field in dataclasses.fields(records[0])]
+    rows = [dataclasses.astuple(rec) for rec in records]
     _write_text(args.out, _csv_text(header, rows))
     return 0
 
@@ -344,8 +338,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="Monte Carlo worker threads (default 1); only bler and sweep use it, "
-                     "design, validate, oracle and select ignore it")
+                     help="threads over the 16384-trial shards of each Monte Carlo run "
+                     "(default 1); only bler and sweep in sim mode use it")
 
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
@@ -401,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bler", help="evaluate BLER of one codebook over an SNR grid")
     p.add_argument("--codebook", required=True, help="path to a codebook JSON file")
     p.add_argument("--snr-db", required=True,
-                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'")
+                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'; write a grid that "
+                   "starts below zero as --snr-db=-2:2")
     _add_eval_options(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_bler)
@@ -410,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", action="append", required=True,
                    help="codebook JSON path; repeat for several")
     p.add_argument("--snr-db", default="0:8:0.5",
-                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5')")
+                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
+                   "write a grid that starts below zero as --snr-db=-2:2")
     p.add_argument("--literal-total", action="store_true",
                    help="use the raw ones total in energy figures instead of the per-codeword average")
     _add_eval_options(p)

@@ -169,8 +169,6 @@ def simulate_bler(
         raise ValueError("trials must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if book.m != book.size_target:
-        raise ValueError(f"simulation requires exactly 2**k = {book.size_target} codewords")
     mod = modulated_matrix(book, params)
     sigma = params.noise_sigma
     shards = [

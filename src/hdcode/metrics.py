@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,7 +125,9 @@ def energy_metrics(book: Codebook, literal_total: bool = False) -> EnergyMetrics
     raw total in the numerator instead.
     """
     if book.m != book.size_target:
-        raise ValueError(f"energy metrics require exactly 2**k = {book.size_target} codewords")
+        raise ValueError(
+            f"energy metrics require exactly 2**k = {book.size_target} codewords, got {book.m}"
+        )
     ones = total_ones(book)
     avg = ones / book.m
     base = float(ones) if literal_total else avg
@@ -142,41 +143,49 @@ def _point_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _theory_distribution(book: Codebook, mode: str) -> np.ndarray | None:
-    """The distance distribution the theory modes read; None under sim."""
+def _sorted_grid(snr_grid: Sequence[float]) -> list[float]:
+    grid = sorted(float(s) for s in snr_grid)
+    if not grid:
+        raise ValueError("snr_grid is empty")
+    return grid
+
+
+def _bler_rows(
+    book: Codebook,
+    grid: list[float],
+    mode: str,
+    trials: int,
+    seed: int,
+    key: tuple[int, ...],
+    threads: int,
+) -> tuple[BlerRow, ...]:
+    """BLER of one codebook at each point of a sorted SNR grid, under one mode.
+
+    Under sim, point i draws from the seed derived from (seed, *key, i), and
+    `threads` run its shards.  The theory modes read one distance distribution
+    of the codebook and need no seed, and so never import numpy.random.
+    """
     if mode == MODE_SIM:
-        return None
+        rows = []
+        for i, snr in enumerate(grid):
+            params = ChannelParams(ebn0_db=snr)
+            est = simulate_bler(book, params, trials, _point_seed(seed, *key, i), threads)
+            rows.append(BlerRow(snr, est.point, est.ci95_halfwidth, est.trials))
+        return tuple(rows)
+    if mode == MODE_THEORY_DOMINANT:
+        formula = theoretical_bler_dominant
+    elif mode == MODE_THEORY_UNION:
+        formula = theoretical_bler_union
+    else:
+        raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
     if book.m != book.size_target:
         raise ValueError(
             f"theory BLER requires exactly 2**k = {book.size_target} codewords, got {book.m}"
         )
-    return distance_distribution(book)
-
-
-def _bler_at(
-    book: Codebook,
-    distribution: np.ndarray | None,
-    snr_db: float,
-    mode: str,
-    trials: int,
-    seed: int,
-    point: tuple[int, ...],
-    threads: int,
-) -> tuple[float, float, int]:
-    """(bler, ci95, trials) of one codebook at one SNR under one mode.
-
-    A simulation draws from the seed derived from (seed, *point); the theory
-    modes need no seed, and so never import numpy.random.
-    """
-    params = ChannelParams(ebn0_db=snr_db)
-    if mode == MODE_THEORY_DOMINANT:
-        return theoretical_bler_dominant(distribution, params), 0.0, 0
-    if mode == MODE_THEORY_UNION:
-        return theoretical_bler_union(distribution, params), 0.0, 0
-    if mode == MODE_SIM:
-        est = simulate_bler(book, params, trials, _point_seed(seed, *point), threads)
-        return est.point, est.ci95_halfwidth, est.trials
-    raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
+    distribution = distance_distribution(book)
+    return tuple(
+        BlerRow(snr, formula(distribution, ChannelParams(ebn0_db=snr)), 0.0, 0) for snr in grid
+    )
 
 
 def bler_table(
@@ -193,17 +202,8 @@ def bler_table(
     Simulation points get independent seeds derived from (seed, point index),
     so the table is reproducible and insensitive to evaluation order.
     """
-    if mode not in BLER_MODES:
-        raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
-    grid = sorted(float(s) for s in snr_grid)
-    if not grid:
-        raise ValueError("snr_grid is empty")
-    distribution = _theory_distribution(book, mode)
-    rows = []
-    for idx, snr in enumerate(grid):
-        bler, ci, used = _bler_at(book, distribution, snr, mode, trials, seed, (idx,), threads)
-        rows.append(BlerRow(snr_db=snr, bler=bler, ci95=ci, trials=used))
-    return BlerTable(codebook_id=codebook_id, mode=mode, rows=tuple(rows))
+    rows = _bler_rows(book, _sorted_grid(snr_grid), mode, trials, seed, (), threads)
+    return BlerTable(codebook_id=codebook_id, mode=mode, rows=rows)
 
 
 def tradeoff_sweep(
@@ -218,12 +218,11 @@ def tradeoff_sweep(
 ) -> list[SweepRecord]:
     """Cross every codebook with every SNR point.
 
-    Records are ordered by (codebook position, SNR).  Throughput uses the
-    BLER clamped to [0, 1] since the dominant-term approximation can exceed 1
-    at very low SNR.
+    Records are ordered by (codebook position, SNR).  Simulation points get
+    seeds derived from (seed, codebook position, point index).  Throughput
+    uses the BLER clamped to [0, 1] since the dominant-term approximation can
+    exceed 1 at very low SNR.
     """
-    if mode not in BLER_MODES:
-        raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
     if not codebooks:
         raise ValueError("no codebooks given")
     if ids is None:
@@ -232,42 +231,25 @@ def tradeoff_sweep(
         raise ValueError("ids must match codebooks one to one")
     if len(set(ids)) != len(ids):
         raise ValueError("codebook ids must be distinct")
-    grid = sorted(float(s) for s in snr_grid)
-    if not grid:
-        raise ValueError("snr_grid is empty")
-
-    distributions = [_theory_distribution(book, mode) for book in codebooks]
-    points = [
-        (bi, book, si, snr)
-        for bi, book in enumerate(codebooks)
-        for si, snr in enumerate(grid)
-    ]
-
-    def evaluate(point: tuple[int, Codebook, int, float]) -> tuple[float, float, int]:
-        bi, book, si, snr = point
-        return _bler_at(book, distributions[bi], snr, mode, trials, seed, (bi, si), threads=1)
-
-    if threads > 1 and mode == MODE_SIM:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(p) for p in points]
+    grid = _sorted_grid(snr_grid)
 
     records = []
-    for (bi, book, _si, snr), (bler, _ci, _used) in zip(points, results):
+    for bi, book in enumerate(codebooks):
+        rows = _bler_rows(book, grid, mode, trials, seed, (bi,), threads)
         energy = energy_metrics(book, literal_total)
-        records.append(
+        records.extend(
             SweepRecord(
                 codebook_id=ids[bi],
                 n=book.n,
                 k=book.k,
                 d=book.d,
-                snr_db=snr,
-                bler=bler,
-                throughput=throughput(book, min(bler, 1.0)),
+                snr_db=row.snr_db,
+                bler=row.bler,
+                throughput=throughput(book, min(row.bler, 1.0)),
                 energy_per_bit=energy.energy_per_bit,
                 energy_per_time=energy.energy_per_time,
             )
+            for row in rows
         )
     return records
 

@@ -177,6 +177,12 @@ class TestBlerCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error") and captured.out == ""
 
+    def test_negative_grid_after_equals_sign(self, book_path, capsys):
+        # argparse reads "--snr-db -2:2" as a missing value followed by an option
+        assert main(["bler", "--codebook", book_path, "--snr-db=-2:2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
+
     def test_theory_on_incomplete_book_exit_one(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])))

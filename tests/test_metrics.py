@@ -17,11 +17,13 @@ from hdcode.metrics import (
     BlerTable,
     SelectionRule,
 )
+from hdcode.linksim import SHARD_SIZE
 
 DENSE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
 SPARSE = Codebook.from_values(3, 2, 2, [0b111, 0b100, 0b010, 0b001])
 INCOMPLETE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])
 THEORY_MODES = [MODE_THEORY_DOMINANT, MODE_THEORY_UNION]
+ALL_MODES = [*THEORY_MODES, MODE_SIM]
 
 
 def table(codebook_id, points):
@@ -98,10 +100,10 @@ class TestBlerTable:
         with pytest.raises(ValueError):
             bler_table(DENSE, [])
 
-    @pytest.mark.parametrize("mode", THEORY_MODES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_theory_refuses_incomplete_book(self, mode):
         with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
-            bler_table(INCOMPLETE, [0.0], mode=mode)
+            bler_table(INCOMPLETE, [0.0], mode=mode, trials=1_000)
 
 
 class TestTradeoffSweep:
@@ -119,10 +121,15 @@ class TestTradeoffSweep:
             assert rec.energy_per_time == pytest.approx(9 / 4 / 3)
 
     def test_sim_threads_do_not_change_records(self):
-        kwargs = dict(mode=MODE_SIM, trials=5_000, seed=8, ids=["dense", "sparse"])
-        a = tradeoff_sweep([DENSE, SPARSE], [0.0, 2.0], threads=1, **kwargs)
-        b = tradeoff_sweep([DENSE, SPARSE], [0.0, 2.0], threads=4, **kwargs)
+        # three shards per point, so threads=4 runs them on a pool
+        kwargs = dict(mode=MODE_SIM, trials=2 * SHARD_SIZE + 5, seed=8, ids=["dense", "sparse"])
+        a = tradeoff_sweep([DENSE, SPARSE], [2.0], threads=1, **kwargs)
+        b = tradeoff_sweep([DENSE, SPARSE], [2.0], threads=4, **kwargs)
         assert a == b
+
+    def test_sim_refuses_zero_threads(self):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            tradeoff_sweep([DENSE], [0.0], mode=MODE_SIM, trials=1_000, threads=0)
 
     def test_default_ids_are_distinct(self):
         records = tradeoff_sweep([DENSE, SPARSE], [0.0])
@@ -138,10 +145,10 @@ class TestTradeoffSweep:
         with pytest.raises(ValueError):
             tradeoff_sweep([DENSE], [])
 
-    @pytest.mark.parametrize("mode", THEORY_MODES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_theory_refuses_incomplete_book(self, mode):
         with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
-            tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode)
+            tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode, trials=1_000)
 
 
 class TestDistributionBuilds:
