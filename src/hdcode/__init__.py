@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "codebook": (
         "MAX_N", "Codebook", "CodebookFormatError", "distance_distribution", "finalize",
-        "load_codebook", "message_order", "min_distance", "mutate", "parse_codebook",
+        "load_codebook", "message_order", "min_distance", "parse_codebook",
         "positions_to_mask", "save_codebook", "serialize_codebook", "total_ones",
     ),
     "linksim": (
-        "BlerEstimate", "ChannelParams", "encode", "ml_decode", "q_function",
-        "simulate_bler", "theoretical_bler_dominant", "theoretical_bler_union",
+        "BlerEstimate", "ChannelParams", "q_function", "simulate_bler",
+        "theoretical_bler_dominant", "theoretical_bler_union",
     ),
     "metrics": (
         "BlerTable", "EnergyMetrics", "SelectionDecision", "SelectionRule", "SweepRecord",
@@ -24,9 +24,9 @@ _EXPORTS = {
     ),
     "oracle": ("OracleResult", "exhaustive_best_codebook"),
     "search": (
-        "DesignConfig", "GenerationRecord", "Population", "SearchReport", "effective_weight",
-        "extend_codebook", "genetic_local_search", "initial_population", "local_search",
-        "parent_probabilities", "recombination", "recombine_pair", "selection", "stop_check",
+        "DesignConfig", "SearchReport", "effective_weight", "extend_codebook",
+        "genetic_local_search", "initial_population", "local_search", "recombination",
+        "recombine_pair", "selection",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,7 +34,7 @@ class Codebook:
 
     The words are stored only as `values`, a read-only sorted uint32 array
     (MSB first), so codebook equality and hashing are structural, over
-    word_bytes().  Construction checks the parameter domain, that every
+    word_bytes.  Construction checks the parameter domain, that every
     value fits in n bits, and distinctness; the O(m^2 n) pairwise-distance
     invariant is checked by validate().  from_values drops duplicates where
     the constructor refuses them, through the same __post_init__.
@@ -74,27 +74,24 @@ class Codebook:
         """Build from raw integer codeword values, deduplicating."""
         return cls(n, k, d, values, _dedupe=True)
 
+    @cached_property
     def word_bytes(self) -> bytes:
         """The words as big-endian 4-byte groups.
 
         Byte order of these strings is the order of the word tuples, a book
         that is a prefix of another coming first.  Built once per book.
         """
-        return self._word_bytes
-
-    @cached_property
-    def _word_bytes(self) -> bytes:
         return self.values.astype(">u4").tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
         return (self.n, self.k, self.d) == (other.n, other.k, other.d) and (
-            self.word_bytes() == other.word_bytes()
+            self.word_bytes == other.word_bytes
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, self.d, self.word_bytes()))
+        return hash((self.n, self.k, self.d, self.word_bytes))
 
     @property
     def m(self) -> int:
@@ -129,13 +126,6 @@ class Codebook:
                 raise CodebookFormatError(
                     f"codewords {a} and {b} are at distance {block.flat[first]} < d={self.d}"
                 )
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except CodebookFormatError:
-            return False
-        return True
 
 
 def _word_array(values: Iterable[int], n: int) -> np.ndarray:
@@ -206,17 +196,6 @@ def positions_to_mask(positions: Iterable[int], n: int) -> int:
             raise ValueError(f"position {p} out of range for n={n}")
         mask |= 1 << (n - 1 - p)
     return mask
-
-
-def mutate(book: Codebook, positions: Iterable[int]) -> Codebook:
-    """Flip the bits at the given positions in every codeword.
-
-    This is a distance-preserving isometry (XOR with a fixed mask), so the
-    (n, k, d) property of the codebook is unchanged, and applying the same
-    mutation twice restores the original codebook.
-    """
-    mask = positions_to_mask(positions, book.n)
-    return Codebook.from_values(book.n, book.k, book.d, book.values ^ np.uint32(mask))
 
 
 def _by_weight(values: np.ndarray) -> np.ndarray:

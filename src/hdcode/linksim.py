@@ -106,18 +106,6 @@ def modulated_matrix(book: Codebook, params: ChannelParams) -> np.ndarray:
     return bits * params.amplitude
 
 
-def encode(message: int, book: Codebook) -> int:
-    """The codeword for a message index; low indexes map to heavy codewords."""
-    if book.m != book.size_target:
-        raise ValueError(
-            f"encoding requires exactly 2**k = {book.size_target} codewords, got {book.m}"
-        )
-    order = message_order(book)
-    if not 0 <= message < len(order):
-        raise ValueError(f"message must lie in [0, {len(order)}), got {message}")
-    return order[message]
-
-
 def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """ML message index for each row of `received`; ties go to the lowest index.
 
@@ -135,15 +123,6 @@ def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
         block -= half_norms
         block.argmax(axis=1, out=decoded[start : start + rows])
     return decoded
-
-
-def ml_decode(received: np.ndarray, book: Codebook, params: ChannelParams) -> int:
-    """Message index minimizing Euclidean distance; ties go to the lowest index."""
-    received = np.asarray(received, dtype=np.float64)
-    mod = modulated_matrix(book, params)
-    if received.shape != (book.n,):
-        raise ValueError(f"received vector must have shape ({book.n},)")
-    return int(_ml_messages(received[None, :], mod)[0])
 
 
 def _shard_errors(

@@ -423,7 +423,7 @@ def recombination(
 
 
 def _ranked(pool: Iterable[Codebook], literal: bool) -> list[Codebook]:
-    return sorted(pool, key=lambda b: (-effective_weight(b, literal), -b.m, b.word_bytes()))
+    return sorted(pool, key=lambda b: (-effective_weight(b, literal), -b.m, b.word_bytes))
 
 
 def selection(parents: Population, children: Population, literal: bool = False) -> Population:
@@ -491,8 +491,14 @@ def stop_check(history: Sequence[GenerationRecord], config: DesignConfig) -> boo
     return all(s == series[0] for s in series)
 
 
-def _sample_positions(n: int, rate: float, rng: np.random.Generator) -> list[int]:
-    return np.flatnonzero(rng.random(n) < rate).tolist()
+def _local_searched(population: Population, config: DesignConfig) -> Population:
+    """Every book through local_search, at positions drawn from (seed, generation, index)."""
+    books = []
+    for idx, book in enumerate(population.codebooks):
+        rng = _stream(config.seed, _MUTATION_STREAM, population.generation, idx)
+        positions = np.flatnonzero(rng.random(book.n) < config.mutation_rate).tolist()
+        books.append(local_search(book, positions))
+    return Population(tuple(books), population.generation)
 
 
 def _best_complete(
@@ -518,30 +524,15 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     config = config or DesignConfig()
     Codebook(n=n, k=k, d=d)  # validates the (n, k, d) parameter domain
     seed = config.seed
-    population = initial_population(n, k, d, config, _stream(seed, _INIT_STREAM))
-    population = Population(
-        tuple(
-            local_search(book, _sample_positions(n, config.mutation_rate,
-                                                 _stream(seed, _MUTATION_STREAM, 0, idx)))
-            for idx, book in enumerate(population.codebooks)
-        ),
-        generation=0,
-    )
+    population = _local_searched(initial_population(n, k, d, config, _stream(seed, _INIT_STREAM)),
+                                 config)
     history = [record_generation(population, config.literal_weight)]
     best, best_ones = _best_complete(population, None, None)
     while not stop_check(history, config):
         gen = population.generation + 1
         children = recombination(population, _stream(seed, _RECOMBINE_STREAM, gen),
                                  config.literal_weight)
-        children = Population(
-            tuple(
-                local_search(book, _sample_positions(n, config.mutation_rate,
-                                                     _stream(seed, _MUTATION_STREAM, gen, idx)))
-                for idx, book in enumerate(children.codebooks)
-            ),
-            generation=gen,
-        )
-        population = selection(population, children, config.literal_weight)
+        population = selection(population, _local_searched(children, config), config.literal_weight)
         history.append(record_generation(population, config.literal_weight))
         best, best_ones = _best_complete(population, best, best_ones)
         logger.debug(

@@ -101,7 +101,7 @@ class TestBlerTable:
             bler_table(DENSE, [])
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_theory_refuses_incomplete_book(self, mode):
+    def test_refuses_incomplete_book(self, mode):
         with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
             bler_table(INCOMPLETE, [0.0], mode=mode, trials=1_000)
 
@@ -146,7 +146,7 @@ class TestTradeoffSweep:
             tradeoff_sweep([DENSE], [])
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_theory_refuses_incomplete_book(self, mode):
+    def test_refuses_incomplete_book(self, mode):
         with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
             tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode, trials=1_000)
 

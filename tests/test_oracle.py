@@ -29,7 +29,7 @@ class TestExhaustiveSearch:
         result = exhaustive_best_codebook(4, 3, 2)
         book = result.witness
         assert book.m == 8
-        assert book.is_valid()
+        book.validate()
         assert total_ones(book) == result.optimum_ones == 16
 
     def test_known_small_optima(self):

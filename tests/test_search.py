@@ -15,14 +15,10 @@ from hdcode import (
     initial_population,
     local_search,
     min_distance,
-    mutate,
-    parent_probabilities,
     positions_to_mask,
     recombination,
     recombine_pair,
     selection,
-    stop_check,
-    total_ones,
 )
 from hdcode import search
 from hdcode.search import (
@@ -30,7 +26,9 @@ from hdcode.search import (
     GenerationRecord,
     Population,
     _stream,
+    parent_probabilities,
     record_generation,
+    stop_check,
 )
 
 
@@ -55,6 +53,12 @@ def ball_masks(n, radius):
 def mask_positions(mask, n):
     """The bit positions of an XOR mask, position 0 being the MSB."""
     return [p for p in range(n) if mask >> (n - 1 - p) & 1]
+
+
+def mutate(book, positions):
+    """Reference flip: every codeword XORed with the positions' mask, an isometry."""
+    mask = np.uint32(positions_to_mask(positions, book.n))
+    return Codebook.from_values(book.n, book.k, book.d, book.values ^ mask)
 
 
 def ball_scatter_extend(book, mask=0):
@@ -211,7 +215,8 @@ class TestExtend:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert book.is_complete and book.is_valid()
+        assert book.is_complete
+        book.validate()
         assert peak < 32 << 20
 
     @given(st.data())
@@ -222,7 +227,7 @@ class TestExtend:
         book = small_books(data.draw, n, min(2, n), d)
         extended = extend_codebook(book)
         assert set(book.values.tolist()) <= set(extended.values.tolist())
-        assert extended.is_valid()
+        extended.validate()
         assert extend_codebook(extended) == extended
 
 
@@ -316,7 +321,7 @@ class TestLocalSearch:
         positions = data.draw(st.sets(st.integers(0, n - 1)))
         result = local_search(book, positions)
         assert set(book.values.tolist()) <= set(result.values.tolist())
-        assert result.is_valid()
+        result.validate()
         assert extend_codebook(result) == result
 
     @given(seed_books(), st.data())
@@ -329,6 +334,26 @@ class TestLocalSearch:
     def test_empty_mask_reduces_to_extend(self):
         book = Codebook.from_values(4, 2, 2, [0b1100])
         assert local_search(book, []) == extend_codebook(book)
+
+
+class TestMutation:
+    @given(seed_books(), st.data())
+    def test_involution_and_isometry(self, book, data):
+        positions = data.draw(st.sets(st.integers(0, book.n - 1)))
+        flipped = mutate(book, positions)
+        assert mutate(flipped, positions) == book
+        before = sorted((a ^ b).bit_count() for a, b in combinations(book.values.tolist(), 2))
+        after = sorted((a ^ b).bit_count() for a, b in combinations(flipped.values.tolist(), 2))
+        assert before == after
+
+    def test_position_zero_is_most_significant(self):
+        assert positions_to_mask([0], 4) == 0b1000
+        assert positions_to_mask([3], 4) == 0b0001
+        assert positions_to_mask([], 4) == 0
+
+    def test_position_out_of_range(self):
+        with pytest.raises(ValueError):
+            positions_to_mask([4], 4)
 
 
 class TestEffectiveWeight:
@@ -420,8 +445,8 @@ class TestRecombination:
     def test_children_keep_min_distance(self, pair):
         first, second, anchor, split = pair
         child_one, child_two = recombine_pair(first, second, anchor, split)
-        assert child_one.is_valid()
-        assert child_two.is_valid()
+        child_one.validate()
+        child_two.validate()
 
     def test_split_extremes_swap_or_keep(self):
         first = Codebook.from_values(3, 2, 2, [0b000, 0b011])
@@ -455,7 +480,8 @@ class TestRecombination:
         children = recombination(Population(books), _stream(7, 99))
         assert len(children.codebooks) == 4
         assert children.generation == 1
-        assert all(b.is_valid() for b in children.codebooks)
+        for b in children.codebooks:
+            b.validate()
 
     def test_odd_population_rejected(self):
         book = Codebook.from_values(3, 1, 1, [0b111])
@@ -569,13 +595,13 @@ class TestInitialPopulation:
         assert len(population.codebooks) == 10
         for book in population.codebooks:
             assert 1 <= book.m <= 3
-            assert book.is_valid()
+            book.validate()
 
     def test_all_books_respect_distance(self):
         config = DesignConfig(population_size=10, init_size_range=(2, 5))
         population = initial_population(6, 3, 3, config, _stream(11, 0))
         for book in population.codebooks:
-            assert book.is_valid()
+            book.validate()
 
 
 class TestGeneticLocalSearch:
@@ -583,7 +609,7 @@ class TestGeneticLocalSearch:
         report = genetic_local_search(3, 2, 1, DesignConfig(seed=0))
         assert report.best_ones == 9
         assert report.best.is_complete
-        assert report.best.is_valid()
+        report.best.validate()
 
     def test_golden_distance_two_instance(self):
         report = genetic_local_search(3, 2, 2, DesignConfig(seed=0))
@@ -592,7 +618,7 @@ class TestGeneticLocalSearch:
     def test_report_invariants(self, designed_books):
         book = designed_books[(10, 4, 3)]
         assert book.m == 16
-        assert book.is_valid()
+        book.validate()
         assert min_distance(book) >= 3
 
     def test_deterministic_for_seed(self):

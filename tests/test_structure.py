@@ -1,5 +1,8 @@
 import ast
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import hdcode
 
@@ -14,6 +17,9 @@ ALLOWED = {
     "cli": {"codebook", "metrics", "oracle", "search"},
 }
 EXEMPT = {"__init__", "__main__"}
+# names the package no longer exports: helpers only the tests used
+UNEXPORTED = ("mutate", "encode", "ml_decode", "GenerationRecord", "Population", "stop_check",
+              "parent_probabilities")
 
 
 def relative_imports(path):
@@ -31,3 +37,15 @@ def test_modules_import_in_dependency_order():
     for name, allowed in ALLOWED.items():
         extra = relative_imports(sources[name]) - allowed
         assert not extra, f"{name} imports {sorted(extra)} against the dependency order"
+
+
+def test_exports_resolve_to_their_defining_module():
+    for name in hdcode.__all__:
+        source = import_module(f"hdcode.{hdcode._MODULE_OF[name]}")
+        value = getattr(hdcode, name)
+        assert value is getattr(source, name)
+        assert getattr(value, "__module__", source.__name__) == source.__name__, name
+    for name in UNEXPORTED:
+        assert name not in hdcode.__all__
+        with pytest.raises(AttributeError):
+            getattr(hdcode, name)
