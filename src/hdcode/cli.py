@@ -205,7 +205,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
         patience=args.patience,
         max_generations=args.max_generations,
         seed=args.seed,
-        literal_weight=args.literal_weight,
     )
     report = genetic_local_search(args.n, args.k, args.d, config)
     if args.report is not None:
@@ -297,7 +296,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         threads=args.threads,
         ids=ids,
-        literal_total=args.literal_total,
     )
     header = [field.name for field in dataclasses.fields(records[0])]
     rows = [dataclasses.astuple(rec) for rec in records]
@@ -317,7 +315,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
                 f"--snr-db {args.snr_db} lies outside the range [{lo}, {hi}] "
                 f"tabulated for {table.codebook_id!r}"
             )
-    decision = select_codebook(library, args.snr_db, rule, literal_total=args.literal_total)
+    decision = select_codebook(library, args.snr_db, rule)
     if decision is None:
         print(f"no codebook satisfies {args.rule!r} at {args.snr_db} dB", file=sys.stderr)
         return 1
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=20,
                    help="stop after this many generations without progress")
     p.add_argument("--max-generations", type=int, default=500)
-    p.add_argument("--literal-weight", action="store_true",
-                   help="rank complete codebooks by raw ones total instead of their best 2**k subset")
     _add_common(p)
     p.set_defaults(handler=_cmd_design)
 
@@ -407,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", default="0:8:0.5",
                    help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
                    "write a grid that starts below zero as --snr-db=-2:2")
-    p.add_argument("--literal-total", action="store_true",
-                   help="use the raw ones total in energy figures instead of the per-codeword average")
     _add_eval_options(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
@@ -419,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
     p.add_argument("--rule", required=True,
                    help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
-    p.add_argument("--literal-total", action="store_true",
-                   help="use the raw ones total in energy figures instead of the per-codeword average")
     _add_common(p)
     p.set_defaults(handler=_cmd_select)
 

@@ -34,14 +34,9 @@ logger = logging.getLogger("hdcode.linksim")
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """AWGN channel at a given Eb/N0; a 1-bit is sent as amplitude sqrt(2*Eb)."""
+    """AWGN channel at a given Eb/N0 with Eb = 1; a 1-bit is sent as amplitude sqrt(2)."""
 
     ebn0_db: float
-    eb: float = 1.0
-
-    def __post_init__(self):
-        if not self.eb > 0:
-            raise ValueError("eb must be positive")
 
     @property
     def ebn0(self) -> float:
@@ -49,11 +44,11 @@ class ChannelParams:
 
     @property
     def n0(self) -> float:
-        return self.eb / self.ebn0
+        return 1.0 / self.ebn0
 
     @property
     def amplitude(self) -> float:
-        return math.sqrt(2.0 * self.eb)
+        return math.sqrt(2.0)
 
     @property
     def noise_sigma(self) -> float:

@@ -117,25 +117,18 @@ def throughput(book: Codebook, bler: float) -> float:
     return book.k / book.n * (1.0 - bler)
 
 
-def energy_metrics(book: Codebook, literal_total: bool = False) -> EnergyMetrics:
+def energy_metrics(book: Codebook) -> EnergyMetrics:
     """Harvested-energy figures of a complete codebook.
 
-    By default the numerator is the per-codeword average ones count, so
-    energy_per_time lies in [0, 1].  literal_total=True puts the codebook's
-    raw total in the numerator instead.
+    The numerator is the per-codeword average ones count, so energy_per_time
+    lies in [0, 1].
     """
     if book.m != book.size_target:
         raise ValueError(
             f"energy metrics require exactly 2**k = {book.size_target} codewords, got {book.m}"
         )
-    ones = total_ones(book)
-    avg = ones / book.m
-    base = float(ones) if literal_total else avg
-    return EnergyMetrics(
-        avg_weight=avg,
-        energy_per_bit=base / book.k,
-        energy_per_time=base / book.n,
-    )
+    avg = total_ones(book) / book.m
+    return EnergyMetrics(avg_weight=avg, energy_per_bit=avg / book.k, energy_per_time=avg / book.n)
 
 
 def _point_seed(seed: int, *key: int) -> int:
@@ -214,7 +207,6 @@ def tradeoff_sweep(
     seed: int = 0,
     threads: int = 1,
     ids: Sequence[str] | None = None,
-    literal_total: bool = False,
 ) -> list[SweepRecord]:
     """Cross every codebook with every SNR point.
 
@@ -236,7 +228,7 @@ def tradeoff_sweep(
     records = []
     for bi, book in enumerate(codebooks):
         rows = _bler_rows(book, grid, mode, trials, seed, (bi,), threads)
-        energy = energy_metrics(book, literal_total)
+        energy = energy_metrics(book)
         records.extend(
             SweepRecord(
                 codebook_id=ids[bi],
@@ -258,7 +250,6 @@ def select_codebook(
     library: Sequence[tuple[Codebook, BlerTable]],
     snr_db: float,
     rule: SelectionRule,
-    literal_total: bool = False,
 ) -> SelectionDecision | None:
     """Pick the library codebook best satisfying the rule at the nearest grid SNR.
 
@@ -278,7 +269,7 @@ def select_codebook(
                 f"of codebook {table.codebook_id!r}"
             )
         row = min(table.rows, key=lambda r: (abs(r.snr_db - snr_db), r.snr_db))
-        energy = energy_metrics(book, literal_total)
+        energy = energy_metrics(book)
         decision = SelectionDecision(
             codebook=book,
             codebook_id=table.codebook_id,

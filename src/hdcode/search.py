@@ -39,7 +39,6 @@ class DesignConfig:
     patience: int = 20
     max_generations: int = 500
     seed: int = 0
-    literal_weight: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "init_size_range", tuple(self.init_size_range))
@@ -288,31 +287,28 @@ def local_search(book: Codebook, positions: Iterable[int]) -> Codebook:
     return extend_codebook(book, positions_to_mask(positions, book.n))
 
 
-def effective_weight(book: Codebook, literal: bool = False) -> Fraction:
+def effective_weight(book: Codebook) -> Fraction:
     """Selection fitness: ones count, scaled up by 2**k/m while the codebook is short.
 
     Once a codebook holds at least 2**k codewords its fitness is the ones
-    count of its best 2**k-subset, so oversize codebooks are not favored for
-    bulk alone.  With literal=True the raw total is used instead.
+    count of its best 2**k-subset, the words finalize keeps, so oversize
+    codebooks are not favored for bulk alone.
 
     A book never changes, so each weight is computed once per book and kept
     in the book's instance dict, as functools.cached_property keeps a value.
     """
-    slot = "_literal_weight" if literal else "_effective_weight"
-    weight = vars(book).get(slot)
+    weight = vars(book).get("_effective_weight")
     if weight is None:
-        weight = vars(book)[slot] = _weight(book, literal)
+        weight = vars(book)["_effective_weight"] = _weight(book)
     return weight
 
 
-def _weight(book: Codebook, literal: bool) -> Fraction:
+def _weight(book: Codebook) -> Fraction:
     m, target = book.m, book.size_target
     if m == 0:
         return Fraction(0)
     if m < target:
         return Fraction(total_ones(book) * target, m)
-    if literal:
-        return Fraction(total_ones(book))
     return Fraction(_best_subset_ones(book))
 
 
@@ -349,11 +345,11 @@ def initial_population(
     return Population(tuple(books), generation=0)
 
 
-def parent_probabilities(population: Population, literal: bool = False) -> list[Fraction]:
+def parent_probabilities(population: Population) -> list[Fraction]:
     """Selection probability of each codebook, linear in its fitness above the minimum."""
     if not population.codebooks:
         raise ValueError("population is empty")
-    weights = [effective_weight(b, literal) for b in population.codebooks]
+    weights = [effective_weight(b) for b in population.codebooks]
     wmin = min(weights)
     shifted = [w - wmin + 1 for w in weights]
     norm = sum(shifted)
@@ -389,9 +385,7 @@ def recombine_pair(
             Codebook.from_values(n, second.k, d, child_two))
 
 
-def recombination(
-    population: Population, rng: np.random.Generator, literal: bool = False
-) -> Population:
+def recombination(population: Population, rng: np.random.Generator) -> Population:
     """Produce p children from p/2 parent pairs.
 
     Pairs are drawn with replacement across pairs; within a pair the second
@@ -402,7 +396,7 @@ def recombination(
     p = len(books)
     if p < 2 or p % 2:
         raise ValueError("population size must be even and >= 2")
-    probs = parent_probabilities(population, literal)
+    probs = parent_probabilities(population)
     cum = np.cumsum([float(q) for q in probs])
     cum[-1] = 1.0
 
@@ -422,37 +416,30 @@ def recombination(
     return Population(tuple(children), population.generation + 1)
 
 
-def _ranked(pool: Iterable[Codebook], literal: bool) -> list[Codebook]:
-    return sorted(pool, key=lambda b: (-effective_weight(b, literal), -b.m, b.word_bytes))
+def _ranked(pool: Iterable[Codebook]) -> list[Codebook]:
+    return sorted(pool, key=lambda b: (-effective_weight(b), -b.m, b.word_bytes))
 
 
-def selection(parents: Population, children: Population, literal: bool = False) -> Population:
+def selection(parents: Population, children: Population) -> Population:
     """Keep the p fittest codebooks, reserving slots for complete ones.
 
-    With no complete candidate the top p by fitness survive.  With more than
-    p/2 complete candidates, the top p/2 of each group survive.  With q <= p/2
-    complete candidates, all of them survive plus the top p-q incomplete ones.
-    Duplicates in the merged pool are removed first; if a group cannot fill
-    its share the other group tops it up, and if the deduplicated pool is
-    smaller than p the best candidates are repeated.
+    The top min(q, p/2) of the q complete candidates survive, the incomplete
+    ones fill the remaining slots by fitness, and complete ones top up what
+    the incomplete ones cannot fill.  So with no complete candidate the top p
+    by fitness survive, and with q <= p/2 all complete ones survive.
+    Duplicates in the merged pool are removed first; if the deduplicated pool
+    is smaller than p the best candidates are repeated.
     """
     p = len(parents.codebooks)
     if len(children.codebooks) != p:
         raise ValueError("parents and children must have the same size")
     pool = list(dict.fromkeys(parents.codebooks + children.codebooks))
-    ranked = _ranked(pool, literal)
+    ranked = _ranked(pool)
     complete = [b for b in ranked if b.is_complete]
     incomplete = [b for b in ranked if not b.is_complete]
-    q = len(complete)
-    half = p // 2
-    if q == 0:
-        chosen = ranked[:p]
-    elif q > half:
-        chosen = complete[:half] + incomplete[: p - half]
-        if len(chosen) < p:
-            chosen += complete[half:][: p - len(chosen)]
-    else:
-        chosen = complete + incomplete[: p - q]
+    reserved = min(len(complete), p // 2)
+    chosen = complete[:reserved] + incomplete[:p - reserved]
+    chosen += complete[reserved:][:p - len(chosen)]
     idx = 0
     while len(chosen) < p:
         chosen.append(ranked[idx % len(ranked)])
@@ -460,8 +447,8 @@ def selection(parents: Population, children: Population, literal: bool = False) 
     return Population(tuple(chosen), children.generation)
 
 
-def record_generation(population: Population, literal: bool = False) -> GenerationRecord:
-    weights = [effective_weight(b, literal) for b in population.codebooks]
+def record_generation(population: Population) -> GenerationRecord:
+    weights = [effective_weight(b) for b in population.codebooks]
     return GenerationRecord(
         max_weight=max(weights),
         max_size=max(b.m for b in population.codebooks),
@@ -526,14 +513,13 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     seed = config.seed
     population = _local_searched(initial_population(n, k, d, config, _stream(seed, _INIT_STREAM)),
                                  config)
-    history = [record_generation(population, config.literal_weight)]
+    history = [record_generation(population)]
     best, best_ones = _best_complete(population, None, None)
     while not stop_check(history, config):
         gen = population.generation + 1
-        children = recombination(population, _stream(seed, _RECOMBINE_STREAM, gen),
-                                 config.literal_weight)
-        population = selection(population, _local_searched(children, config), config.literal_weight)
-        history.append(record_generation(population, config.literal_weight))
+        children = recombination(population, _stream(seed, _RECOMBINE_STREAM, gen))
+        population = selection(population, _local_searched(children, config))
+        history.append(record_generation(population))
         best, best_ones = _best_complete(population, best, best_ones)
         logger.debug(
             "generation %d: max weight %s, max size %d, best ones %s",

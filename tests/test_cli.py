@@ -331,6 +331,19 @@ def test_parser_literals_match_metrics(command):
     assert f"(default {metrics.DEFAULT_TRIALS})" in trials.help
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "-n", "3", "-k", "2", "-d", "1", "--literal-weight"],
+    ["sweep", "--codebook", "book.json", "--literal-total"],
+    ["select", "--library", "lib", "--snr-db", "0", "--rule", "bler<=0.1", "--literal-total"],
+])
+def test_removed_reading_flags_are_usage_errors(argv, capsys):
+    """Fitness and energy each have one reading; the flags that chose another are gone."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --literal-" in capsys.readouterr().err
+
+
 class TestImports:
     """Each command loads only the hdcode modules it runs, in a fresh process."""
 

@@ -94,10 +94,10 @@ class TestChannelParams:
         assert low.noise_sigma == pytest.approx(math.sqrt(low.n0 / 2))
 
     def test_amplitude_and_eb(self):
-        params = ChannelParams(0.0, eb=2.0)
-        assert params.amplitude == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            ChannelParams(0.0, eb=0.0)
+        """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB."""
+        params = ChannelParams(0.0)
+        assert params.amplitude == math.sqrt(2.0)
+        assert params.n0 == 1.0
 
 
 class TestQFunction:

@@ -51,12 +51,6 @@ class TestEnergyMetrics:
         assert metrics.energy_per_bit == pytest.approx(9 / 4 / 2)
         assert metrics.energy_per_time == pytest.approx(9 / 4 / 3)
 
-    def test_literal_reading(self):
-        metrics = energy_metrics(DENSE, literal_total=True)
-        assert metrics.avg_weight == pytest.approx(9 / 4)
-        assert metrics.energy_per_bit == pytest.approx(9 / 2)
-        assert metrics.energy_per_time == pytest.approx(9 / 3)
-
     def test_normalized_range(self):
         metrics = energy_metrics(SPARSE)
         assert 0.0 <= metrics.energy_per_time <= 1.0

@@ -173,8 +173,8 @@ class TestExtend:
         def first_generation():
             seen = []
 
-            def recording_selection(parents, children, literal=False):
-                kept = selection(parents, children, literal)
+            def recording_selection(parents, children):
+                kept = selection(parents, children)
                 seen.extend([parents, children, kept])
                 return kept
 
@@ -365,16 +365,9 @@ class TestEffectiveWeight:
         book = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
         assert effective_weight(book) == Fraction(9)
 
-    def test_oversize_reads_best_subset_unless_literal(self):
+    def test_oversize_reads_best_subset(self):
         book = Codebook.from_values(3, 1, 1, [0b111, 0b110, 0b101, 0b011])
         assert effective_weight(book) == Fraction(5)
-        assert effective_weight(book, literal=True) == Fraction(9)
-
-    @pytest.mark.parametrize("first", [False, True])
-    def test_cached_weights_keep_literal_apart(self, first):
-        book = Codebook.from_values(3, 1, 1, [0b111, 0b110, 0b101, 0b011])
-        for literal in (first, not first, first, not first):
-            assert effective_weight(book, literal=literal) == Fraction(9 if literal else 5)
 
     def test_one_generation_partitions_each_book_once(self, monkeypatch):
         books = []
@@ -392,8 +385,8 @@ class TestEffectiveWeight:
     def test_empty_book_has_zero_weight(self):
         assert effective_weight(Codebook(n=4, k=2, d=1)) == 0
 
-    @given(random_books(), st.booleans())
-    def test_matches_sorted_reference(self, book, literal):
+    @given(random_books())
+    def test_matches_sorted_reference(self, book):
         """Differential check against a plain-Python ranking of the values."""
         ranked = sorted(book.values.tolist(), key=lambda v: (-v.bit_count(), -v))
         ones = [v.bit_count() for v in ranked]
@@ -401,11 +394,9 @@ class TestEffectiveWeight:
             expected = Fraction(0)
         elif book.m < book.size_target:
             expected = Fraction(sum(ones) * book.size_target, book.m)
-        elif literal:
-            expected = Fraction(sum(ones))
         else:
             expected = Fraction(sum(ones[: book.size_target]))
-        weight = effective_weight(book, literal)
+        weight = effective_weight(book)
         assert type(weight) is Fraction
         assert weight == expected
 
@@ -489,9 +480,50 @@ class TestRecombination:
             recombination(Population((book, book, book)), _stream(0, 0))
 
 
+def branched_selection(parents, children):
+    """Reference: the reserve rule written as three cases on the q complete books."""
+    p = len(parents.codebooks)
+    ranked = search._ranked(dict.fromkeys(parents.codebooks + children.codebooks))
+    complete = [b for b in ranked if b.is_complete]
+    incomplete = [b for b in ranked if not b.is_complete]
+    q = len(complete)
+    half = p // 2
+    if q == 0:
+        chosen = ranked[:p]
+    elif q > half:
+        chosen = complete[:half] + incomplete[: p - half]
+        if len(chosen) < p:
+            chosen += complete[half:][: p - len(chosen)]
+    else:
+        chosen = complete + incomplete[: p - q]
+    idx = 0
+    while len(chosen) < p:
+        chosen.append(ranked[idx % len(ranked)])
+        idx += 1
+    return Population(tuple(chosen), children.generation)
+
+
+@st.composite
+def selection_pools(draw):
+    """Parents and children of p books at (4, 2, 1), each complete or not, with repeats."""
+    p = 2 * draw(st.integers(1, 5))
+    books = st.sets(st.integers(0, 15), min_size=1, max_size=7).map(
+        lambda values: Codebook.from_values(4, 2, 1, values)
+    )
+    pool = draw(st.lists(books, min_size=1, max_size=2 * p))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2 * p, max_size=2 * p))
+    return Population(tuple(picks[:p])), Population(tuple(picks[p:]), generation=1)
+
+
 class TestSelection:
     def _book(self, values, n=4, k=2, d=1):
         return Codebook.from_values(n, k, d, values)
+
+    @given(selection_pools())
+    @settings(max_examples=300)
+    def test_matches_branched_reference(self, pools):
+        parents, children = pools
+        assert selection(parents, children) == branched_selection(parents, children)
 
     def test_keeps_fittest_without_complete(self):
         a = self._book([0b1111])
