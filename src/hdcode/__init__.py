@@ -19,8 +19,8 @@ _EXPORTS = {
         "theoretical_bler_dominant", "theoretical_bler_union",
     ),
     "metrics": (
-        "BlerTable", "EnergyMetrics", "SelectionDecision", "SelectionRule", "SweepRecord",
-        "bler_table", "energy_metrics", "select_codebook", "throughput", "tradeoff_sweep",
+        "BlerTable", "EnergyMetrics", "SelectionRule", "SweepRecord", "bler_table",
+        "energy_metrics", "select_codebook", "throughput", "tradeoff_sweep",
     ),
     "oracle": ("OracleResult", "exhaustive_best_codebook"),
     "search": (

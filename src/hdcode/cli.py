@@ -2,9 +2,8 @@
 
 Subcommands: design, validate, oracle, bler, sweep, select.  All output
 artifacts go to --out (default stdout); logs go to stderr, gated by the
-HDCODE_LOG environment variable.  Exit codes: 0 on success, 1 on domain
-failures (invalid codebook, failed search, no feasible selection), 2 on
-usage errors.
+HDCODE_LOG environment variable.  Exit codes: 0 on success, 1 when hdcode
+refuses or fails the request, 2 when the command line does not parse.
 """
 
 from __future__ import annotations
@@ -246,12 +245,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import ORACLE_MAX_K, ORACLE_MAX_N, exhaustive_best_codebook
+    from .oracle import exhaustive_best_codebook
 
-    if args.n > ORACLE_MAX_N or args.k > ORACLE_MAX_K:
-        raise CliUsageError(
-            f"oracle is capped at n <= {ORACLE_MAX_N} and k <= {ORACLE_MAX_K}"
-        )
     result = exhaustive_best_codebook(args.n, args.k, args.d)
     payload = {
         "feasible": result.feasible,
@@ -307,26 +302,19 @@ def _cmd_select(args: argparse.Namespace) -> int:
     from .metrics import select_codebook
 
     rule = parse_rule(args.rule)
-    library = _load_library(args.library)
-    for _, table in library:
-        lo, hi = table.snr_range
-        if not lo <= args.snr_db <= hi:
-            raise CliUsageError(
-                f"--snr-db {args.snr_db} lies outside the range [{lo}, {hi}] "
-                f"tabulated for {table.codebook_id!r}"
-            )
-    decision = select_codebook(library, args.snr_db, rule)
-    if decision is None:
+    chosen = select_codebook(_load_library(args.library), args.snr_db, rule)
+    if chosen is None:
         print(f"no codebook satisfies {args.rule!r} at {args.snr_db} dB", file=sys.stderr)
         return 1
+    book, record = chosen
     payload = {
-        "codebook_id": decision.codebook_id,
-        "snr_db": decision.snr_db,
-        "bler": decision.bler,
-        "throughput": decision.throughput,
-        "energy_per_bit": decision.energy_per_bit,
-        "energy_per_time": decision.energy_per_time,
-        "codebook": codebook_document(decision.codebook),
+        "codebook_id": record.codebook_id,
+        "snr_db": record.snr_db,
+        "bler": record.bler,
+        "throughput": record.throughput,
+        "energy_per_bit": record.energy_per_bit,
+        "energy_per_time": record.energy_per_time,
+        "codebook": codebook_document(book),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0

@@ -22,8 +22,6 @@ BLER_MODES = (MODE_THEORY_DOMINANT, MODE_THEORY_UNION, MODE_SIM)
 
 DEFAULT_TRIALS = 100_000
 
-_U64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class EnergyMetrics:
@@ -97,19 +95,6 @@ class SelectionRule:
             raise ValueError(f"kind must be one of {SELECTION_RULES}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    """Chosen codebook together with the operating point it was judged at."""
-
-    codebook: Codebook
-    codebook_id: str
-    snr_db: float
-    bler: float
-    throughput: float
-    energy_per_bit: float
-    energy_per_time: float
-
-
 def throughput(book: Codebook, bler: float) -> float:
     """Information bits delivered per channel use: (k/n) * (1 - BLER)."""
     if not 0.0 <= bler <= 1.0:
@@ -132,7 +117,9 @@ def energy_metrics(book: Codebook) -> EnergyMetrics:
 
 
 def _point_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence([seed & _U64, *key])
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    ss = np.random.SeedSequence([seed, *key])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -181,6 +168,29 @@ def _bler_rows(
     )
 
 
+def _records(book: Codebook, codebook_id: str, rows: Sequence[BlerRow]) -> list[SweepRecord]:
+    """The operating point of one codebook at each BLER row.
+
+    Throughput uses the BLER clamped to [0, 1] since the dominant-term
+    approximation can exceed 1 at very low SNR.
+    """
+    energy = energy_metrics(book)
+    return [
+        SweepRecord(
+            codebook_id=codebook_id,
+            n=book.n,
+            k=book.k,
+            d=book.d,
+            snr_db=row.snr_db,
+            bler=row.bler,
+            throughput=throughput(book, min(row.bler, 1.0)),
+            energy_per_bit=energy.energy_per_bit,
+            energy_per_time=energy.energy_per_time,
+        )
+        for row in rows
+    ]
+
+
 def bler_table(
     book: Codebook,
     snr_grid: Sequence[float],
@@ -211,9 +221,7 @@ def tradeoff_sweep(
     """Cross every codebook with every SNR point.
 
     Records are ordered by (codebook position, SNR).  Simulation points get
-    seeds derived from (seed, codebook position, point index).  Throughput
-    uses the BLER clamped to [0, 1] since the dominant-term approximation can
-    exceed 1 at very low SNR.
+    seeds derived from (seed, codebook position, point index).
     """
     if not codebooks:
         raise ValueError("no codebooks given")
@@ -228,21 +236,7 @@ def tradeoff_sweep(
     records = []
     for bi, book in enumerate(codebooks):
         rows = _bler_rows(book, grid, mode, trials, seed, (bi,), threads)
-        energy = energy_metrics(book)
-        records.extend(
-            SweepRecord(
-                codebook_id=ids[bi],
-                n=book.n,
-                k=book.k,
-                d=book.d,
-                snr_db=row.snr_db,
-                bler=row.bler,
-                throughput=throughput(book, min(row.bler, 1.0)),
-                energy_per_bit=energy.energy_per_bit,
-                energy_per_time=energy.energy_per_time,
-            )
-            for row in rows
-        )
+        records.extend(_records(book, ids[bi], rows))
     return records
 
 
@@ -250,13 +244,14 @@ def select_codebook(
     library: Sequence[tuple[Codebook, BlerTable]],
     snr_db: float,
     rule: SelectionRule,
-) -> SelectionDecision | None:
+) -> tuple[Codebook, SweepRecord] | None:
     """Pick the library codebook best satisfying the rule at the nearest grid SNR.
 
-    Each codebook is judged at its table row closest to snr_db (ties go to the
-    lower SNR).  Returns None when no codebook satisfies the constraint.
-    Raises if snr_db falls outside any table's grid range, since the nearest
-    row would then be an extrapolation.
+    Each codebook is judged by the SweepRecord of its table row closest to
+    snr_db (ties go to the lower SNR), built as `tradeoff_sweep` builds its
+    records.  Returns the chosen codebook and its record, or None when no
+    codebook satisfies the constraint.  Raises if snr_db falls outside any table's grid range, since
+    the nearest row would then be an extrapolation.
     """
     if not library:
         raise ValueError("library is empty")
@@ -269,27 +264,19 @@ def select_codebook(
                 f"of codebook {table.codebook_id!r}"
             )
         row = min(table.rows, key=lambda r: (abs(r.snr_db - snr_db), r.snr_db))
-        energy = energy_metrics(book)
-        decision = SelectionDecision(
-            codebook=book,
-            codebook_id=table.codebook_id,
-            snr_db=row.snr_db,
-            bler=row.bler,
-            throughput=throughput(book, min(row.bler, 1.0)),
-            energy_per_bit=energy.energy_per_bit,
-            energy_per_time=energy.energy_per_time,
-        )
-        candidates.append(decision)
+        (record,) = _records(book, table.codebook_id, [row])
+        candidates.append((book, record))
 
     if rule.kind == RULE_MIN_ENERGY:
-        feasible = [c for c in candidates if c.energy_per_time >= rule.threshold]
-        objective = lambda c: c.throughput
+        meets = lambda r: r.energy_per_time >= rule.threshold
+        objective = lambda r: r.throughput
     elif rule.kind == RULE_MIN_THROUGHPUT:
-        feasible = [c for c in candidates if c.throughput >= rule.threshold]
-        objective = lambda c: c.energy_per_time
+        meets = lambda r: r.throughput >= rule.threshold
+        objective = lambda r: r.energy_per_time
     else:
-        feasible = [c for c in candidates if c.bler <= rule.threshold]
-        objective = lambda c: c.throughput
+        meets = lambda r: r.bler <= rule.threshold
+        objective = lambda r: r.throughput
+    feasible = [(book, record) for book, record in candidates if meets(record)]
     if not feasible:
         return None
-    return max(feasible, key=lambda c: (objective(c), c.codebook_id))
+    return max(feasible, key=lambda c: (objective(c[1]), c[1].codebook_id))

@@ -138,8 +138,12 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"codebook": None, "feasible": False, "optimum_ones": None}
 
-    def test_capacity_exit_two(self, capsys):
-        assert main(["oracle", "--n", "9", "--k", "2", "--d", "1"]) == 2
+    def test_capacity_exit_one(self, capsys):
+        """The oracle refuses an instance over its caps; the CLI reports its message."""
+        assert main(["oracle", "--n", "9", "--k", "2", "--d", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: exhaustive search is capped at n <= 6 and k <= 3" in captured.err
+        assert captured.out == ""
 
 
 class TestBlerCommand:
@@ -182,6 +186,13 @@ class TestBlerCommand:
         assert main(["bler", "--codebook", book_path, "--snr-db=-2:2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
+
+    def test_negative_sim_seed_exit_one(self, book_path, capsys):
+        assert main(["bler", "--codebook", book_path, "--snr-db", "0", "--mode", "sim",
+                     "--trials", "1000", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: seed must be a nonnegative integer" in captured.err
+        assert captured.out == ""
 
     def test_theory_on_incomplete_book_exit_one(self, tmp_path):
         path = tmp_path / "short.json"
@@ -229,6 +240,8 @@ class TestSelectCommand:
         code = main(["select", "--library", lib, "--snr-db", "6", "--rule", "qt>=0.6"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"codebook_id", "snr_db", "bler", "throughput",
+                                "energy_per_bit", "energy_per_time", "codebook"}
         assert payload["codebook_id"] == "n3k2d1"
         assert payload["energy_per_time"] == pytest.approx(0.75)
 
@@ -238,10 +251,16 @@ class TestSelectCommand:
         assert code == 1
         assert "no codebook" in capsys.readouterr().err
 
-    def test_snr_outside_tables_exit_two(self, tmp_path):
+    def test_snr_outside_tables_exit_one(self, tmp_path, capsys):
+        """select_codebook refuses an SNR no table covers; the CLI reports its message."""
         lib = self._library(tmp_path, [(3, 2, 1)])
+        capsys.readouterr()
         assert main(["select", "--library", lib, "--snr-db", "12",
-                     "--rule", "qt>=0.5"]) == 2
+                     "--rule", "qt>=0.5"]) == 1
+        captured = capsys.readouterr()
+        assert ("error: snr 12.0 dB lies outside the tabulated range [0.0, 8.0] "
+                "of codebook 'n3k2d1'") in captured.err
+        assert captured.out == ""
 
     def test_missing_table_exit_one(self, tmp_path, capsys):
         lib = tmp_path / "library"

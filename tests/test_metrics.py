@@ -13,6 +13,7 @@ from hdcode.metrics import (
     MODE_SIM,
     MODE_THEORY_DOMINANT,
     MODE_THEORY_UNION,
+    SELECTION_RULES,
     BlerRow,
     BlerTable,
     SelectionRule,
@@ -79,6 +80,11 @@ class TestBlerTable:
         kwargs = dict(mode=MODE_SIM, trials=5_000, seed=3)
         assert bler_table(DENSE, [0.0, 2.0], **kwargs) == bler_table(DENSE, [0.0, 2.0], **kwargs)
 
+    def test_sim_seed_does_not_wrap(self):
+        kwargs = dict(mode=MODE_SIM, trials=5_000)
+        wide = bler_table(DENSE, [0.0], seed=2**64, **kwargs)
+        assert wide != bler_table(DENSE, [0.0], seed=0, **kwargs)
+
     @pytest.mark.parametrize("mode", [MODE_THEORY_DOMINANT, MODE_THEORY_UNION])
     def test_theory_rows_decay_with_snr(self, mode):
         grid = [0.5 * i for i in range(17)]
@@ -124,6 +130,10 @@ class TestTradeoffSweep:
     def test_sim_refuses_zero_threads(self):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             tradeoff_sweep([DENSE], [0.0], mode=MODE_SIM, trials=1_000, threads=0)
+
+    def test_sim_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            tradeoff_sweep([DENSE], [0.0], mode=MODE_SIM, trials=1_000, seed=-1)
 
     def test_default_ids_are_distinct(self):
         records = tradeoff_sweep([DENSE, SPARSE], [0.0])
@@ -185,9 +195,9 @@ class TestSelectCodebook:
 
     def test_energy_floor_picks_denser_book(self):
         rule = SelectionRule(kind="min-energy-per-time", threshold=0.6)
-        decision = select_codebook(self.library, 4.0, rule)
-        assert decision.codebook_id == "dense"
-        assert decision.codebook == DENSE
+        book, record = select_codebook(self.library, 4.0, rule)
+        assert record.codebook_id == "dense"
+        assert book == DENSE
 
     def test_energy_floor_infeasible_returns_none(self):
         rule = SelectionRule(kind="min-energy-per-time", threshold=0.9)
@@ -195,23 +205,51 @@ class TestSelectCodebook:
 
     def test_throughput_floor_maximizes_energy(self):
         lax = SelectionRule(kind="min-throughput", threshold=0.5)
-        decision = select_codebook(self.library, 4.0, lax)
-        assert decision.codebook_id == "dense"
+        book, record = select_codebook(self.library, 4.0, lax)
+        assert (book, record.codebook_id) == (DENSE, "dense")
         strict = SelectionRule(kind="min-throughput", threshold=0.65)
-        decision = select_codebook(self.library, 4.0, strict)
-        assert decision.codebook_id == "sparse"
+        book, record = select_codebook(self.library, 4.0, strict)
+        assert (book, record.codebook_id) == (SPARSE, "sparse")
 
     def test_bler_cap_picks_reliable_book(self):
         rule = SelectionRule(kind="max-bler", threshold=0.05)
-        decision = select_codebook(self.library, 4.0, rule)
-        assert decision.codebook_id == "sparse"
-        assert decision.bler == pytest.approx(0.01)
+        book, record = select_codebook(self.library, 4.0, rule)
+        assert (book, record.codebook_id) == (SPARSE, "sparse")
+        assert record.bler == pytest.approx(0.01)
 
     def test_nearest_row_with_tie_to_lower_snr(self):
         rule = SelectionRule(kind="max-bler", threshold=1.0)
-        assert select_codebook(self.library, 1.9, rule).snr_db == 0.0
-        assert select_codebook(self.library, 2.0, rule).snr_db == 0.0
-        assert select_codebook(self.library, 2.1, rule).snr_db == 4.0
+        for snr, row_snr in ((1.9, 0.0), (2.0, 0.0), (2.1, 4.0)):
+            book, record = select_codebook(self.library, snr, rule)
+            assert record.snr_db == row_snr
+
+    def test_record_is_the_sweep_record(self):
+        """select judges each book by the very record tradeoff_sweep gives it."""
+        grid = [0.0, 2.0, 4.0, 6.0, 8.0]
+        books = {"dense": DENSE, "sparse": SPARSE}
+        library = [(book, bler_table(book, grid, mode=MODE_THEORY_UNION, codebook_id=cid))
+                   for cid, book in books.items()]
+        records = tradeoff_sweep(list(books.values()), grid, mode=MODE_THEORY_UNION,
+                                 ids=list(books))
+        sweep = {(r.codebook_id, r.snr_db): r for r in records}
+        thresholds = {
+            "min-energy-per-time": (0.0, 0.6, 0.9),
+            "min-throughput": (0.1, 0.5, 0.65),
+            "max-bler": (1.0, 0.1, 1e-3),
+        }
+        assert set(thresholds) == set(SELECTION_RULES)
+        picked = set()
+        for kind, levels in thresholds.items():
+            for threshold in levels:
+                for snr in grid:
+                    chosen = select_codebook(library, snr, SelectionRule(kind, threshold))
+                    if chosen is None:
+                        continue
+                    book, record = chosen
+                    assert record == sweep[(record.codebook_id, snr)]
+                    assert book is books[record.codebook_id]
+                    picked.add(record.codebook_id)
+        assert picked == set(books)
 
     def test_out_of_range_snr_rejected(self):
         rule = SelectionRule(kind="max-bler", threshold=1.0)

@@ -19,7 +19,7 @@ ALLOWED = {
 EXEMPT = {"__init__", "__main__"}
 # names the package no longer exports: helpers only the tests used
 UNEXPORTED = ("mutate", "encode", "ml_decode", "GenerationRecord", "Population", "stop_check",
-              "parent_probabilities")
+              "parent_probabilities", "SelectionDecision")
 
 
 def relative_imports(path):
