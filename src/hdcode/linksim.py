@@ -27,8 +27,6 @@ SHARD_SIZE = 1 << 14
 # pool threads ran slower than one on a 2-core machine.
 SCORE_BUDGET_BYTES = 1 << 18
 
-_U64 = (1 << 64) - 1
-
 logger = logging.getLogger("hdcode.linksim")
 
 
@@ -123,7 +121,7 @@ def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
 def _shard_errors(
     mod: np.ndarray, sigma: float, n: int, seed: int, shard_index: int, count: int
 ) -> int:
-    key = np.array([seed & _U64, shard_index], dtype=np.uint64)
+    key = np.array([seed, shard_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     messages = rng.integers(0, mod.shape[0], size=count)
     received = rng.normal(0.0, sigma, size=(count, n))
@@ -137,8 +135,11 @@ def simulate_bler(
     """Estimate BLER over uniform messages by sharded Monte Carlo.
 
     Shard i of SHARD_SIZE trials draws from a Philox generator keyed
-    (seed, i), so results are identical for any thread count.
+    (seed, i), so results are identical for any thread count.  The seed is
+    one 64-bit key word, so it must lie in [0, 2**64).
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if threads < 1:

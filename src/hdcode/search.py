@@ -11,9 +11,12 @@ codewords.
 from __future__ import annotations
 
 import logging
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +25,6 @@ from .codebook import Codebook, _distance_blocks, finalize, positions_to_mask, t
 
 logger = logging.getLogger("hdcode.search")
 
-_U64 = (1 << 64) - 1
 # stream tags: keep RNG streams for the three random phases independent
 _INIT_STREAM = 0
 _MUTATION_STREAM = 1
@@ -88,14 +90,15 @@ class SearchReport:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived from (seed, key...) so phases can run in parallel."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _U64, *key])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
 # Greedy extension has two kernels, picked by n.  For n <= 12 a cached table
-# gives each word's ball as one Python int of 2**n bits; above that the
-# blocked words live in a bitset of uint64 blocks: block j holds words
-# 64j ... 64j + 63, word 64j + b at bit b.  A word's high part (w >> 6) picks
-# its block and its low part (w & 63) its bit.
+# gives each word's ball as one Python int of 2**n bits, in reverse order:
+# word y at bit 2**n - 1 - y.  Above that the blocked words live in a bitset
+# of uint64 blocks: block j holds words 64j ... 64j + 63, word 64j + b at
+# bit b.  A word's high part (w >> 6) picks its block and its low part
+# (w & 63) its bit.
 BALL_TABLE_BUDGET_BYTES = 1 << 21  # a 2**n-word table takes 2**(2n-3) bytes
 _LOW_BITS = 6
 _SPLIT_BITS = 3  # the ball rows are kept per value of this many top bits of a block index
@@ -104,29 +107,30 @@ _FULL = (1 << 64) - 1
 
 @lru_cache(maxsize=8)
 def _ball_table(n: int, radius: int) -> tuple[int, ...]:
-    """Entry x has bit y set for each word y with popcount(x ^ y) <= radius."""
+    """Entry x has bit 2**n - 1 - y set for each word y with popcount(x ^ y) <= radius."""
     space = Codebook(n, n, 1, np.arange(1 << n, dtype=np.uint32))
     table: list[int] = []
     for start, block in _distance_blocks(space):
         close = block <= radius
         close[np.arange(len(close)), np.arange(start, start + len(close))] = True
-        packed = np.packbits(close, axis=1, bitorder="little")
+        packed = np.packbits(close[:, ::-1], axis=1, bitorder="little")
         table.extend(int.from_bytes(row, "little") for row in packed)
     return tuple(table)
 
 
 def _table_extend(book: Codebook, mask: int = 0) -> Codebook:
-    """extend_codebook for small n: the free words as one int, cleared ball by ball."""
+    """extend_codebook for small n: the free words as one int, lowest word at the top bit."""
     ball = _ball_table(book.n, book.d - 1)
+    size = 1 << book.n
     blocked = 0
     for v in book.values.tolist():
         blocked |= ball[v ^ mask]
-    free = ~blocked & ((1 << (1 << book.n)) - 1)
+    free = blocked ^ ((1 << size) - 1)
     added = []
     while free:
-        x = (free & -free).bit_length() - 1
+        x = size - free.bit_length()
         added.append(x ^ mask)
-        free &= ~ball[x]
+        free ^= free & ball[x]
     return Codebook.from_values(
         book.n, book.k, book.d, np.concatenate((book.values, np.array(added, dtype=np.uint32)))
     )
@@ -150,8 +154,8 @@ def _ball_rows(n: int, radius: int) -> tuple[int, tuple[tuple[np.ndarray, np.nda
 
     The ball around x is that ball translated by XOR: in block h ^ j,
     j = x >> 6, it holds the low parts within min(6, radius - popcount(h))
-    of x & 63.  Once x is the lowest free word every block below j is full,
-    and h ^ j < j exactly when the top set bit of h is set in j.  Returns
+    of x & 63.  Once the greedy scan reaches block j every block below it is
+    full, and h ^ j < j exactly when the top set bit of h is set in j.  Returns
     (shift, subsets): subsets[j >> shift] holds the rows (int64) and their
     radii (uint8), less the rows whose top set bit is one of the top
     _SPLIT_BITS bits of j and is set in j.
@@ -204,37 +208,37 @@ def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
     return bits
 
 
-def _first_free(bits: np.ndarray, j: int) -> int | None:
-    """Lowest word outside the bitset in block j or later, or None."""
-    block = int(bits[j])
-    if block == _FULL:
-        j += int((bits[j:] != _FULL).argmax())
-        block = int(bits[j])
-        if block == _FULL:
-            return None
-    return (j << _LOW_BITS) | ((~block & (block + 1)).bit_length() - 1)
-
-
 def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
-    """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks."""
+    """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks, one block per round."""
     n, d = book.n, book.d
     shift, subsets = _ball_rows(n, d - 1)
     balls = _low_balls()
+    keep = [~ball & _FULL for ball in balls[:, min(_LOW_BITS, d - 1)].tolist()]
     bits = _balls_bitset(book.values ^ np.uint32(mask), n, d - 1)
-    added = np.empty(64, dtype=np.uint32)
-    count = 0
-    x = _first_free(bits, 0)
-    while x is not None:
-        if count == len(added):
-            added = np.concatenate((added, np.empty_like(added)))
-        added[count] = x
-        count += 1
-        j = x >> _LOW_BITS
+    added: list[int] = []
+    j = 0
+    while j < len(bits):
+        block = int(bits[j])
+        if block == _FULL:
+            j += int((bits[j:] != _FULL).argmax())
+            block = int(bits[j])
+            if block == _FULL:
+                break
+        free = ~block & _FULL
+        lows = []
+        while free:
+            low = (free & -free).bit_length() - 1
+            lows.append(low)
+            free &= keep[low]
+        base = j << _LOW_BITS
+        added.extend([base | low for low in lows])
+        # at large d nearly every block takes one pick, which needs no reduce
+        ball = balls[lows[0]] if len(lows) == 1 else np.bitwise_or.reduce(balls[lows], axis=0)
         rows, radii = subsets[j >> shift]
-        bits[rows ^ j] |= balls[x & 63].take(radii)
-        x = _first_free(bits, j)
-    added = added[:count] ^ np.uint32(mask)
-    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, added)))
+        bits[rows ^ j] |= ball.take(radii)
+        j += 1
+    words = np.array(added, dtype=np.uint32) ^ np.uint32(mask)
+    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, words)))
 
 
 def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
@@ -251,22 +255,29 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     While a table of 2**n balls fits BALL_TABLE_BUDGET_BYTES (n <= 12), the
     free words are one 2**n-bit int: the input words' balls are cleared from
     it, then the lowest free word x is added and its ball cleared, until no
-    word is free.  The table is built once per (n, d-1) and the last 8 stay
-    cached.
+    word is free.  The int holds word y at bit 2**n - 1 - y, so the lowest
+    free word is read off its bit_length, and clearing the low words first
+    shortens the int every later step works on.  The table is built once
+    per (n, d-1) and the last 8 stay cached.
 
     Above that the blocked words, those within d-1 of a member, are the set
     bits of a bitset of 2**(n-6) uint64 blocks.  The input book's balls are
-    set by d-1 rounds of hypercube dilation.  The ball around an added word
-    x is the ball around 0 translated by XOR: each of its blocks h gets one
-    64-bit low-part set from a (64, 7) table, at row x & 63 and column
-    min(6, d-1 - popcount(h)), ORed into block h ^ (x >> 6).  Every word
-    below x is then blocked, so the next candidate is the lowest clear bit
-    from x's block on.  The blocks below x's block are then full, so the
-    rows h with h ^ (x >> 6) below it need no write: the row table is kept
-    in 8 subsets, one per value of the top 3 bits of x >> 6, each leaving
-    out the rows it can tell land below.  Memory is O(2**(n-6)): the bitset
-    and the subsets, at 9 bytes per row about 4.5 full row tables together.
-    No ball is enumerated word by word.
+    set by d-1 rounds of hypercube dilation.  Then each round takes the
+    lowest block j that is not full.  Its free words are picked greedily on
+    a Python int, each pick x clearing its own-block ball, the low parts
+    within min(6, d-1) of x & 63.  The ball around x is the ball around 0
+    translated by XOR: each of its blocks h gets one 64-bit low-part set
+    from a (64, 7) table, at row x & 63 and column min(6, d-1 -
+    popcount(h)), ORed into block h ^ j.  The picks of block j share j, so
+    their low-part sets are ORed together and written to the other blocks
+    in one step.  A pick reaches its own block only through h = 0, and
+    block j is full once its picks are made, so the round moves on to block
+    j + 1, scanning for the next block that is not full only from a full
+    one.  The blocks below j are full too, so the rows h with h ^ j below j
+    need no write: the row table is kept in 8 subsets, one per value of the
+    top 3 bits of j, each leaving out the rows it can tell land below.
+    Memory is O(2**(n-6)): the bitset and the subsets, at 9 bytes per row
+    about 4.5 full row tables together.  No ball is enumerated word by word.
     """
     if not 0 <= mask < 1 << book.n:
         raise ValueError(f"mask {mask} does not fit in n={book.n} bits")
@@ -345,15 +356,24 @@ def initial_population(
     return Population(tuple(books), generation=0)
 
 
-def parent_probabilities(population: Population) -> list[Fraction]:
-    """Selection probability of each codebook, linear in its fitness above the minimum."""
-    if not population.codebooks:
-        raise ValueError("population is empty")
+def _parent_cdf(population: Population) -> list[float]:
+    """Running sums of the parent selection probabilities, as floats, the last set to 1.
+
+    A book's probability is linear in its fitness above the minimum,
+    (w - min + 1) / sum(w' - min + 1).  Over the fitnesses' common
+    denominator each term is an int, and int / int rounds correctly, as
+    float(Fraction) does, so each float is that of the exact probability;
+    the floats are summed left to right.
+    """
     weights = [effective_weight(b) for b in population.codebooks]
-    wmin = min(weights)
-    shifted = [w - wmin + 1 for w in weights]
-    norm = sum(shifted)
-    return [s / norm for s in shifted]
+    common = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (common // w.denominator) for w in weights]
+    low = min(scaled)
+    shares = [s - low + common for s in scaled]
+    total = sum(shares)
+    cum = list(accumulate(s / total for s in shares))
+    cum[-1] = 1.0
+    return cum
 
 
 def recombine_pair(
@@ -396,12 +416,10 @@ def recombination(population: Population, rng: np.random.Generator) -> Populatio
     p = len(books)
     if p < 2 or p % 2:
         raise ValueError("population size must be even and >= 2")
-    probs = parent_probabilities(population)
-    cum = np.cumsum([float(q) for q in probs])
-    cum[-1] = 1.0
+    cum = _parent_cdf(population)
 
     def draw() -> int:
-        return int(np.searchsorted(cum, rng.random(), side="right"))
+        return bisect_right(cum, rng.random())
 
     n, d = books[0].n, books[0].d
     children: list[Codebook] = []
@@ -417,7 +435,19 @@ def recombination(population: Population, rng: np.random.Generator) -> Populatio
 
 
 def _ranked(pool: Iterable[Codebook]) -> list[Codebook]:
-    return sorted(pool, key=lambda b: (-effective_weight(b), -b.m, b.word_bytes))
+    """By fitness, then size, descending, then by words.
+
+    A fitness is exact in integers as floor(fitness * 4**k): fitnesses are
+    fractions with denominators below 2**k, so two that differ do so by more
+    than 4**-k, and their floors differ too.
+    """
+
+    def key(book: Codebook) -> tuple[int, int, bytes]:
+        weight = effective_weight(book)
+        scaled = (weight.numerator << 2 * book.k) // weight.denominator
+        return -scaled, -book.m, book.word_bytes
+
+    return sorted(pool, key=key)
 
 
 def selection(parents: Population, children: Population) -> Population:

@@ -283,6 +283,15 @@ class TestSimulateBler:
         }
         assert len(counts) > 1
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_refuses_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            simulate_bler(DENSE_3_2, ChannelParams(0.0), 100, seed=seed)
+
+    def test_largest_seed_runs(self):
+        est = simulate_bler(DENSE_3_2, ChannelParams(0.0), 100, seed=(1 << 64) - 1)
+        assert est.trials == 100
+
     def test_shards_accumulate(self):
         params = ChannelParams(0.0)
         one = simulate_bler(DENSE_3_2, params, SHARD_SIZE, seed=9)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hdcode import (
     Codebook,
@@ -26,7 +27,6 @@ from hdcode.search import (
     GenerationRecord,
     Population,
     _stream,
-    parent_probabilities,
     record_generation,
     stop_check,
 )
@@ -111,6 +111,17 @@ def seed_books(draw, min_n=1, max_n=13):
     d = draw(st.integers(1, n))
     raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
     return Codebook.from_values(n, min(3, n), d, greedy_filter(n, d, raw))
+
+
+@st.composite
+def block_kernel_cases(draw):
+    """A valid book of 0 to 16 words and a mask at n = 6 ... 14, with d = 1
+    and d = n drawn as often as any other distance."""
+    n = draw(st.integers(6, 14))
+    d = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    return Codebook.from_values(n, 3, d, greedy_filter(n, d, raw)), mask
 
 
 @st.composite
@@ -258,6 +269,25 @@ class TestExtendKernels:
         assert search._table_extend(book, mask) == expected
         assert search._bitset_extend(book, mask) == expected
 
+    @given(block_kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_block_kernel_matches_ball_scatter(self, case):
+        book, mask = case
+        assert search._bitset_extend(book, mask) == ball_scatter_extend(book, mask)
+
+    @pytest.mark.parametrize("n,d", [(13, 2), (14, 2), (13, 7), (14, 7), (14, 9)])
+    def test_block_kernel_with_many_or_one_pick_per_block(self, n, d):
+        """At d = 2 an empty book's blocks each take 32 words, one round per
+        block; from d = 7 the own-block ball covers the block, so each takes
+        at most one."""
+        rng = np.random.default_rng(n * 16 + d)
+        picks = np.bincount(search._bitset_extend(Codebook(n=n, k=3, d=d)).values >> 6)
+        assert picks.max() == (32 if d == 2 else 1)
+        seeded = greedy_filter(n, d, rng.integers(0, 1 << n, size=12).tolist())
+        for book in (Codebook(n=n, k=3, d=d), Codebook.from_values(n, 3, d, seeded)):
+            mask = int(rng.integers(0, 1 << n))
+            assert search._bitset_extend(book, mask) == ball_scatter_extend(book, mask)
+
     @given(seed_books(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_table_kernel_below_one_block(self, book):
@@ -289,7 +319,8 @@ class TestExtendKernels:
         assert peak < 6 << 20
         assert len(table) == 1 << 12
         for x in np.random.default_rng(0).integers(0, 1 << 12, size=40).tolist():
-            ball = sum(1 << y for y in range(1 << 12) if (x ^ y).bit_count() <= 3)
+            # word y sits at bit 4095 - y, so the lowest word is the top bit
+            ball = sum(1 << (4095 - y) for y in range(1 << 12) if (x ^ y).bit_count() <= 3)
             assert table[x] == ball
 
     def test_balls_bitset_gathers_one_column_per_round(self):
@@ -401,17 +432,34 @@ class TestEffectiveWeight:
         assert weight == expected
 
 
+def fraction_probabilities(weights):
+    """Reference: each fitness above the minimum, plus one, normalised in Fractions."""
+    low = min(weights)
+    shifted = [w - low + 1 for w in weights]
+    total = sum(shifted)
+    return [w / total for w in shifted]
+
+
+def float_cdf(probs):
+    """Reference: the running float sums of the probabilities, the last set to 1."""
+    cum = np.cumsum([float(q) for q in probs])
+    cum[-1] = 1.0
+    return cum.tolist()
+
+
 class TestParentProbabilities:
+    """recombination draws parents from _parent_cdf, checked against Fractions."""
+
     def test_known_two_book_split(self):
         heavy = Codebook.from_values(2, 1, 1, [0b11, 0b10])
         light = Codebook.from_values(2, 1, 1, [0b01, 0b00])
-        probs = parent_probabilities(Population((heavy, light)))
-        assert probs == [Fraction(3, 4), Fraction(1, 4)]
+        weights = [effective_weight(heavy), effective_weight(light)]
+        assert fraction_probabilities(weights) == [Fraction(3, 4), Fraction(1, 4)]
+        assert search._parent_cdf(Population((heavy, light))) == [0.75, 1.0]
 
     def test_uniform_when_equal(self):
         book = Codebook.from_values(2, 1, 1, [0b11, 0b10])
-        probs = parent_probabilities(Population((book, book, book)))
-        assert probs == [Fraction(1, 3)] * 3
+        assert search._parent_cdf(Population((book, book, book))) == [1 / 3, 1 / 3 + 1 / 3, 1.0]
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=6))
     def test_sums_to_one_and_favors_heavy(self, picks):
@@ -422,11 +470,14 @@ class TestParentProbabilities:
             Codebook.from_values(3, 1, 1, [0b110, 0b111]),
         ]
         population = Population(tuple(options[i] for i in picks))
-        probs = parent_probabilities(population)
-        assert sum(probs) == 1
         weights = [effective_weight(b) for b in population.codebooks]
-        for (wa, pa) in zip(weights, probs):
-            for (wb, pb) in zip(weights, probs):
+        probs = fraction_probabilities(weights)
+        assert sum(probs) == 1
+        cum = search._parent_cdf(population)
+        assert cum == float_cdf(probs)
+        steps = np.diff([0.0] + cum)
+        for (wa, pa) in zip(weights, steps):
+            for (wb, pb) in zip(weights, steps):
                 assert (wa > wb) == (pa > pb) or wa == wb
 
 
@@ -478,6 +529,45 @@ class TestRecombination:
         book = Codebook.from_values(3, 1, 1, [0b111])
         with pytest.raises(ValueError):
             recombination(Population((book, book, book)), _stream(0, 0))
+
+
+@st.composite
+def near_tie_fitnesses(draw):
+    """k, 2 to 12 fitnesses at or next to one anchor, fractions with
+    denominators below 2**k and often the largest, and one word set per book."""
+    k = draw(st.integers(1, 12))
+    top = (1 << k) - 1
+    anchor = Fraction(draw(st.integers(0, 12 << k)), draw(st.integers(1, top)))
+    fits = []
+    for _ in range(draw(st.integers(2, 12))):
+        den = draw(st.sampled_from(sorted({1, top, max(top - 1, 1)})) | st.integers(1, top))
+        near = Fraction(max(0, math.floor(anchor * den) + draw(st.integers(-1, 1))), den)
+        fits.append(draw(st.sampled_from([anchor, near])))
+    words = draw(st.lists(st.sets(st.integers(0, 7), max_size=3), min_size=len(fits),
+                          max_size=len(fits)))
+    return k, fits, [sorted(w) for w in words]
+
+
+class TestSelectionArithmetic:
+    """_ranked and recombination read fitnesses as integers; the Fraction
+    arithmetic they replace stays here as the reference."""
+
+    @given(near_tie_fitnesses())
+    @example((10, [Fraction(5, 3), Fraction(1667, 1000), Fraction(5, 3)], [[1], [2], [3]]))
+    @example((3, [Fraction(1, 7), Fraction(1, 6), Fraction(0), Fraction(1, 7)], [[], [], [], [1]]))
+    @settings(max_examples=300)
+    def test_ranks_and_cumulates_as_fractions(self, case):
+        k, fits, words = case
+        books = [Codebook.from_values(12, k, 1, w) for w in words]
+        weight = {id(b): f for b, f in zip(books, fits)}
+        population = Population(tuple(books))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "effective_weight", lambda b: weight[id(b)])
+            ranked = search._ranked(books)
+            cum = search._parent_cdf(population)
+        reference = sorted(books, key=lambda b: (-weight[id(b)], -b.m, b.word_bytes))
+        assert [id(b) for b in ranked] == [id(b) for b in reference]
+        assert cum == float_cdf(fraction_probabilities(fits))
 
 
 def branched_selection(parents, children):
@@ -657,6 +747,12 @@ class TestGeneticLocalSearch:
         a = genetic_local_search(5, 2, 2, DesignConfig(seed=13))
         b = genetic_local_search(5, 2, 2, DesignConfig(seed=13))
         assert a == b
+
+    def test_seed_is_used_whole(self):
+        """Seeds 2**64 and 0 draw from different streams and design different books."""
+        assert _stream(1 << 64, 0).random() != _stream(0, 0).random()
+        wide = genetic_local_search(8, 3, 3, DesignConfig(seed=1 << 64))
+        assert wide.best != genetic_local_search(8, 3, 3, DesignConfig(seed=0)).best
 
     def test_infeasible_instance_reports_failure(self):
         report = genetic_local_search(2, 2, 2, DesignConfig(seed=0, max_generations=40))
