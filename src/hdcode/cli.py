@@ -144,6 +144,18 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
+_BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
+
+
+def _bler_cell(path: Path, line_num: int, column: str, text: str | None):
+    """One parsed cell of a bler CSV; an empty, unparsable or non-finite snr_db cell is refused."""
+    try:
+        value = _BLER_CELL_TYPES[column](text) if text else None
+    except ValueError:
+        value = None
+    if value is None or column == "snr_db" and not math.isfinite(value):
+        raise ValueError(f"{path}: invalid {column!r} cell {text!r} on line {line_num}")
+    return value
 
 
 def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
@@ -157,18 +169,9 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
         rows: list[BlerRow] = []
         modes: set[str] = set()
         for line in reader:
-            for column in BLER_COLUMNS:
-                if not line[column]:
-                    raise ValueError(f"{path}: empty {column!r} cell on line {reader.line_num}")
-            modes.add(line["mode"])
-            rows.append(
-                BlerRow(
-                    snr_db=float(line["snr_db"]),
-                    bler=float(line["bler"]),
-                    ci95=float(line["ci95"]),
-                    trials=int(line["trials"]),
-                )
-            )
+            cells = {c: _bler_cell(path, reader.line_num, c, line[c]) for c in BLER_COLUMNS}
+            modes.add(cells.pop("mode"))
+            rows.append(BlerRow(**cells))
     if not rows:
         raise ValueError(f"{path}: table has no rows")
     if len(modes) != 1:
@@ -271,7 +274,6 @@ def _cmd_bler(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         threads=args.threads,
-        codebook_id=Path(args.codebook).stem,
     )
     rows = [(r.snr_db, table.mode, r.bler, r.ci95, r.trials) for r in table.rows]
     _write_text(args.out, _csv_text(BLER_COLUMNS, rows))

@@ -2,15 +2,16 @@
 
 A codeword is a fixed-length bit vector stored as a plain integer, most
 significant bit first, so integer order coincides with lexicographic order
-on the bitstrings.  A codebook is a read-only sorted uint32 array of such
-integers together with its design parameters (n, k, d): length n, a target
-of 2**k codewords, and a minimum pairwise Hamming distance of d.
+on the bitstrings.  A codebook is a read-only sorted uint32 array of
+distinct such integers, given in any order, together with its design
+parameters (n, k, d): length n, a target of 2**k codewords, and a minimum
+pairwise Hamming distance of d.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -32,38 +33,30 @@ class CodebookFormatError(ValueError):
 class Codebook:
     """Distinct length-n words under a (n, k, d) design contract.
 
-    The words are stored only as `values`, a read-only sorted uint32 array
-    (MSB first), so codebook equality and hashing are structural, over
-    word_bytes.  Construction checks the parameter domain, that every
-    value fits in n bits, and distinctness; the O(m^2 n) pairwise-distance
-    invariant is checked by validate().  from_values drops duplicates where
-    the constructor refuses them, through the same __post_init__.
+    The words, given in any order, are stored only as `values`, a read-only
+    sorted uint32 copy (MSB first), so codebook equality and hashing are
+    structural, over word_bytes.  Construction checks the parameter domain,
+    that every value fits in n bits, and distinctness; the size is left to
+    require_size_target, since the search holds books past 2**k words, and
+    the O(m^2 n) pairwise-distance invariant to validate().
     """
 
     n: int
     k: int
     d: int
     values: np.ndarray = ()
-    _: KW_ONLY
-    _dedupe: InitVar[bool] = False
 
-    def __post_init__(self, _dedupe: bool):
+    def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
         if not 0 < self.d <= self.n:
             raise ValueError(f"d must satisfy 0 < d <= n, got d={self.d} n={self.n}")
         if not 0 < self.k <= self.n:
             raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k} n={self.n}")
-        values = _word_array(self.values, self.n)
-        if _dedupe or not (values[1:] > values[:-1]).all():
-            values = np.sort(values)
-            step = values[1:] != values[:-1]
-            if not step.all():
-                if not _dedupe:
-                    raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{self.n}b}")
-                values = values[np.concatenate(([True], step))]
-        elif values is self.values and values.flags.writeable:
-            values = values.copy()  # the caller's array must not alias the book
+        values = np.sort(_word_array(self.values, self.n))  # a copy: no caller aliases it
+        step = values[1:] != values[:-1]
+        if not step.all():
+            raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{self.n}b}")
         if values.size and int(values[-1]) >> self.n:
             raise ValueError(f"codeword values must fit in n={self.n} bits")
         values.setflags(write=False)
@@ -71,8 +64,8 @@ class Codebook:
 
     @classmethod
     def from_values(cls, n: int, k: int, d: int, values: Iterable[int]) -> "Codebook":
-        """Build from raw integer codeword values, deduplicating."""
-        return cls(n, k, d, values, _dedupe=True)
+        """Build from raw integer codeword values; the same as the constructor."""
+        return cls(n, k, d, values)
 
     @cached_property
     def word_bytes(self) -> bytes:
@@ -104,6 +97,13 @@ class Codebook:
     @property
     def is_complete(self) -> bool:
         return self.m >= self.size_target
+
+    def require_size_target(self, purpose: str) -> None:
+        """Refuse, naming the purpose, a book whose size is not 2**k words."""
+        if self.m != self.size_target:
+            raise ValueError(
+                f"{purpose} requires exactly 2**k = {self.size_target} codewords, got {self.m}"
+            )
 
     def bitstrings(self) -> tuple[str, ...]:
         fmt = f"0{self.n}b"
@@ -249,6 +249,8 @@ def parse_codebook(text: str) -> Codebook:
         book = Codebook(n, k, d, tuple(int(s, 2) for s in raw))
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
+    if book.m > book.size_target:
+        raise CodebookFormatError(f"too many codewords: {book.m} > 2**k = {book.size_target}")
     book.validate()
     return book
 

@@ -90,10 +90,7 @@ def q_function(x):
 
 def modulated_matrix(book: Codebook, params: ChannelParams) -> np.ndarray:
     """(2**k, n) array of transmitted amplitudes, row i = message i."""
-    if book.m != book.size_target:
-        raise ValueError(
-            f"modulation requires exactly 2**k = {book.size_target} codewords, got {book.m}"
-        )
+    book.require_size_target("modulation")
     order = np.asarray(message_order(book), dtype=np.int64)
     bits = (order[:, None] >> np.arange(book.n - 1, -1, -1)) & 1
     return bits * params.amplitude

@@ -108,10 +108,7 @@ def energy_metrics(book: Codebook) -> EnergyMetrics:
     The numerator is the per-codeword average ones count, so energy_per_time
     lies in [0, 1].
     """
-    if book.m != book.size_target:
-        raise ValueError(
-            f"energy metrics require exactly 2**k = {book.size_target} codewords, got {book.m}"
-        )
+    book.require_size_target("energy metrics")
     avg = total_ones(book) / book.m
     return EnergyMetrics(avg_weight=avg, energy_per_bit=avg / book.k, energy_per_time=avg / book.n)
 
@@ -158,10 +155,7 @@ def _bler_rows(
         formula = theoretical_bler_union
     else:
         raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
-    if book.m != book.size_target:
-        raise ValueError(
-            f"theory BLER requires exactly 2**k = {book.size_target} codewords, got {book.m}"
-        )
+    book.require_size_target("theory BLER")
     distribution = distance_distribution(book)
     return tuple(
         BlerRow(snr, formula(distribution, ChannelParams(ebn0_db=snr)), 0.0, 0) for snr in grid

@@ -386,9 +386,9 @@ def recombine_pair(
     Words from the two sides are at least split - (split - d) = d apart, so
     both children keep minimum distance >= d.
     """
-    if (first.n, first.d) != (second.n, second.d):
-        raise ValueError("parent codebooks must share n and d")
-    n, d = first.n, first.d
+    if (first.n, first.k, first.d) != (second.n, second.k, second.d):
+        raise ValueError("parent codebooks must share n, k and d")
+    n, k, d = first.n, first.k, first.d
     if not 0 <= anchor < (1 << n):
         raise ValueError(f"anchor {anchor} does not fit in n={n} bits")
     if not 0 <= split <= n + d:
@@ -401,8 +401,7 @@ def recombine_pair(
     child_two = np.concatenate(
         (second.values[dist_second <= split - d], first.values[dist_first >= split])
     )
-    return (Codebook.from_values(n, first.k, d, child_one),
-            Codebook.from_values(n, second.k, d, child_two))
+    return Codebook.from_values(n, k, d, child_one), Codebook.from_values(n, k, d, child_two)
 
 
 def recombination(population: Population, rng: np.random.Generator) -> Population:

@@ -12,7 +12,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from hdcode import (
     ChannelParams,

@@ -271,7 +271,13 @@ class TestSelectCommand:
                      "--rule", "qt>=0.5"]) == 1
         assert "lonely" in capsys.readouterr().err
 
-    def test_empty_table_cell_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row, column",
+        [("4.0,sim,0.1,,1000", "ci95"), ("4.0,sim,0.1,0.01,1.5", "trials"),
+         ("nan,sim,0.1,0.01,1000", "snr_db")],
+        ids=["empty", "unparsable", "nan-snr"],
+    )
+    def test_empty_table_cell_exit_one(self, tmp_path, capsys, row, column):
         lib = tmp_path / "library"
         lib.mkdir()
         assert main(["design", "--n", "3", "--k", "2", "--d", "1",
@@ -279,12 +285,12 @@ class TestSelectCommand:
         (lib / "book.csv").write_text(
             "snr_db,mode,bler,ci95,trials\n"
             "0.0,sim,0.5,0.01,1000\n"
-            "4.0,sim,0.1,,1000\n"
+            f"{row}\n"
         )
         assert main(["select", "--library", str(lib), "--snr-db", "4",
                      "--rule", "qt>=0.5"]) == 1
         err = capsys.readouterr().err
-        assert "book.csv" in err and "'ci95'" in err
+        assert "book.csv" in err and f"'{column}'" in err and "line 3" in err
 
     def test_not_a_directory_exit_two(self, tmp_path):
         assert main(["select", "--library", str(tmp_path / "nowhere"),

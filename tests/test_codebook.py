@@ -53,6 +53,8 @@ class TestCodebook:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Codebook(3, 2, 1, (5, 5))
+        with pytest.raises(ValueError, match="duplicate codeword 101"):
+            Codebook.from_values(3, 2, 1, [5, 3, 5])
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ValueError, match="fit in n=3 bits"):
@@ -66,7 +68,7 @@ class TestCodebook:
                 Codebook(n, 1, 1)
 
     def test_codewords_canonically_sorted(self):
-        book = Codebook.from_values(3, 2, 1, [0b110, 0b001, 0b110])
+        book = Codebook.from_values(3, 2, 1, [0b110, 0b001])
         assert book.values.tolist() == [0b001, 0b110]
         assert Codebook(3, 2, 1, (0b110, 0b001)) == book
 
@@ -93,7 +95,7 @@ def word_tuples(draw):
 
 class TestArrayCodebook:
     def test_values_are_read_only_uint32(self):
-        book = Codebook.from_values(4, 2, 1, [9, 3, 9])
+        book = Codebook.from_values(4, 2, 1, [9, 3])
         assert book.values.dtype == np.uint32
         with pytest.raises(ValueError):
             book.values[0] = 1
@@ -124,7 +126,7 @@ class TestArrayCodebook:
         shuffled = list(values)
         random.shuffle(shuffled)
         a = Codebook(10, 2, 1, sorted(values))
-        b = Codebook.from_values(10, 2, 1, shuffled + shuffled[:3])
+        b = Codebook.from_values(10, 2, 1, shuffled)
         assert a == b
         assert hash(a) == hash(b)
         assert a != Codebook(10, 3, 1, sorted(values))
@@ -212,6 +214,7 @@ class TestSerialization:
             '{"n": true, "k": 2, "d": 1, "codewords": ["111"]}',
             '{"n": 3, "k": 2, "d": 2, "codewords": ["111", "110"]}',
             '{"n": 3, "k": 2, "d": 1, "codewords": ["121"]}',
+            '{"n": 3, "k": 1, "d": 1, "codewords": ["011", "101", "110", "111"]}',
         ],
     )
     def test_malformed_documents_rejected(self, doc):

@@ -169,7 +169,8 @@ class TestDecode:
 
     def test_incomplete_book_rejected(self):
         incomplete = Codebook.from_values(3, 2, 1, [0b111, 0b110])
-        with pytest.raises(ValueError):
+        expected = "modulation requires exactly 2\\*\\*k = 4 codewords, got 2"
+        with pytest.raises(ValueError, match=expected):
             modulated_matrix(incomplete, ChannelParams(0.0))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 4.0, 8.0]))

@@ -57,7 +57,8 @@ class TestEnergyMetrics:
         assert 0.0 <= metrics.energy_per_time <= 1.0
 
     def test_incomplete_rejected(self):
-        with pytest.raises(ValueError):
+        expected = "energy metrics requires exactly 2\\*\\*k = 4 codewords, got 1"
+        with pytest.raises(ValueError, match=expected):
             energy_metrics(Codebook.from_values(3, 2, 1, [0b111]))
 
 
@@ -102,7 +103,9 @@ class TestBlerTable:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_refuses_incomplete_book(self, mode):
-        with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
+        purpose = "modulation" if mode == MODE_SIM else "theory BLER"
+        expected = f"{purpose} requires exactly 2\\*\\*k = 4 codewords, got 3"
+        with pytest.raises(ValueError, match=expected):
             bler_table(INCOMPLETE, [0.0], mode=mode, trials=1_000)
 
 

@@ -508,6 +508,8 @@ class TestRecombination:
         second = Codebook.from_values(4, 2, 2, [0b0000])
         with pytest.raises(ValueError):
             recombine_pair(first, second, 0, 2)
+        with pytest.raises(ValueError, match="share n, k and d"):
+            recombine_pair(first, Codebook.from_values(3, 3, 2, [0b000]), 0, 2)
         with pytest.raises(ValueError):
             recombine_pair(first, first, 0, 6)
         for anchor in (-1, 8):
