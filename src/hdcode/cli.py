@@ -147,13 +147,21 @@ BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
 _BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
 
 
-def _bler_cell(path: Path, line_num: int, column: str, text: str | None):
-    """One parsed cell of a bler CSV; an empty, unparsable or non-finite snr_db cell is refused."""
+def _bler_cell(path: Path, line_num: int, column: str, text: str | None, mode: str | None):
+    """One parsed cell of a bler CSV row in `mode`.
+
+    An empty or unparsable cell is refused, and so is a non-finite snr_db or
+    a bler that is nan or lies outside [0, 1].  A theory-dominant bler is one
+    union-bound term, which passes 1 at low SNR, so there only a non-finite
+    or negative bler is refused.
+    """
     try:
         value = _BLER_CELL_TYPES[column](text) if text else None
     except ValueError:
         value = None
-    if value is None or column == "snr_db" and not math.isfinite(value):
+    ceiling = sys.float_info.max if mode == "theory-dominant" else 1.0
+    if (value is None or column == "snr_db" and not math.isfinite(value)
+            or column == "bler" and not 0 <= value <= ceiling):
         raise ValueError(f"{path}: invalid {column!r} cell {text!r} on line {line_num}")
     return value
 
@@ -169,7 +177,8 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
         rows: list[BlerRow] = []
         modes: set[str] = set()
         for line in reader:
-            cells = {c: _bler_cell(path, reader.line_num, c, line[c]) for c in BLER_COLUMNS}
+            cells = {c: _bler_cell(path, reader.line_num, c, line[c], line["mode"])
+                     for c in BLER_COLUMNS}
             modes.add(cells.pop("mode"))
             rows.append(BlerRow(**cells))
     if not rows:

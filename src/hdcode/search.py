@@ -89,8 +89,19 @@ class SearchReport:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator derived from (seed, key...) so phases can run in parallel."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
+    """Independent generator derived from (seed, key...) so phases can run in parallel.
+
+    The generator of SeedSequence([seed, *key]), which splits each int into
+    little-endian 32-bit words, 0 as one word.  Handing it those words as a
+    uint32 array gives the same entropy and skips its slow list conversion.
+    """
+    words = []
+    for value in (seed, *key):
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 # Greedy extension has two kernels, picked by n.  For n <= 12 a cached table
@@ -146,6 +157,12 @@ def _low_balls() -> np.ndarray:
     table = np.stack(columns, axis=1)
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=1)
+def _low_ball_ints() -> tuple[int, ...]:
+    """Row x of _low_balls() as one int, column s at bits 64s ... 64s + 63."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in _low_balls().astype("<u8"))
 
 
 @lru_cache(maxsize=8)
@@ -212,7 +229,7 @@ def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
     """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks, one block per round."""
     n, d = book.n, book.d
     shift, subsets = _ball_rows(n, d - 1)
-    balls = _low_balls()
+    balls, ball_ints = _low_balls(), _low_ball_ints()
     keep = [~ball & _FULL for ball in balls[:, min(_LOW_BITS, d - 1)].tolist()]
     bits = _balls_bitset(book.values ^ np.uint32(mask), n, d - 1)
     added: list[int] = []
@@ -226,14 +243,19 @@ def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
                 break
         free = ~block & _FULL
         lows = []
+        union = 0
         while free:
             low = (free & -free).bit_length() - 1
             lows.append(low)
+            union |= ball_ints[low]
             free &= keep[low]
         base = j << _LOW_BITS
         added.extend([base | low for low in lows])
-        # at large d nearly every block takes one pick, which needs no reduce
-        ball = balls[lows[0]] if len(lows) == 1 else np.bitwise_or.reduce(balls[lows], axis=0)
+        # at large d nearly every block takes one pick, whose row is a view
+        if len(lows) == 1:
+            ball = balls[lows[0]]
+        else:
+            ball = np.frombuffer(union.to_bytes(8 * (_LOW_BITS + 1), "little"), "<u8")
         rows, radii = subsets[j >> shift]
         bits[rows ^ j] |= ball.take(radii)
         j += 1
@@ -269,11 +291,11 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     translated by XOR: each of its blocks h gets one 64-bit low-part set
     from a (64, 7) table, at row x & 63 and column min(6, d-1 -
     popcount(h)), ORed into block h ^ j.  The picks of block j share j, so
-    their low-part sets are ORed together and written to the other blocks
-    in one step.  A pick reaches its own block only through h = 0, and
-    block j is full once its picks are made, so the round moves on to block
-    j + 1, scanning for the next block that is not full only from a full
-    one.  The blocks below j are full too, so the rows h with h ^ j below j
+    their low-part sets are ORed together, each pick's 7 columns as one
+    Python int, and written to the other blocks in one step.  A pick
+    reaches its own block only through h = 0, and block j is full once its
+    picks are made, so the round moves on to block j + 1, scanning for the
+    next block that is not full only from a full one.  The blocks below j are full too, so the rows h with h ^ j below j
     need no write: the row table is kept in 8 subsets, one per value of the
     top 3 bits of j, each leaving out the rows it can tell land below.
     Memory is O(2**(n-6)): the bitset and the subsets, at 9 bytes per row
@@ -384,7 +406,9 @@ def recombine_pair(
     Child one takes the words of `first` within distance split-d of the anchor
     plus the words of `second` at distance >= split; child two is symmetric.
     Words from the two sides are at least split - (split - d) = d apart, so
-    both children keep minimum distance >= d.
+    both children keep minimum distance >= d.  A child that takes every word
+    of one parent and none of the other, as both do at split 0 and n + d, is
+    that parent object itself, which the search then need not extend again.
     """
     if (first.n, first.k, first.d) != (second.n, second.k, second.d):
         raise ValueError("parent codebooks must share n, k and d")
@@ -395,13 +419,19 @@ def recombine_pair(
         raise ValueError(f"split must lie in [0, {n + d}], got {split}")
     dist_first = np.bitwise_count(first.values ^ np.uint32(anchor))
     dist_second = np.bitwise_count(second.values ^ np.uint32(anchor))
-    child_one = np.concatenate(
-        (first.values[dist_first <= split - d], second.values[dist_second >= split])
-    )
-    child_two = np.concatenate(
-        (second.values[dist_second <= split - d], first.values[dist_first >= split])
-    )
-    return Codebook.from_values(n, k, d, child_one), Codebook.from_values(n, k, d, child_two)
+
+    def child(own: Codebook, own_dist: np.ndarray, other: Codebook, other_dist: np.ndarray):
+        near, far = own_dist <= split - d, other_dist >= split
+        if near.all() and not far.any():
+            return own
+        if far.all() and not near.any():
+            return other
+        return Codebook.from_values(
+            n, k, d, np.concatenate((own.values[near], other.values[far]))
+        )
+
+    return (child(first, dist_first, second, dist_second),
+            child(second, dist_second, first, dist_first))
 
 
 def recombination(population: Population, rng: np.random.Generator) -> Population:
@@ -507,10 +537,22 @@ def stop_check(history: Sequence[GenerationRecord], config: DesignConfig) -> boo
     return all(s == series[0] for s in series)
 
 
-def _local_searched(population: Population, config: DesignConfig) -> Population:
-    """Every book through local_search, at positions drawn from (seed, generation, index)."""
+def _local_searched(
+    population: Population, config: DesignConfig, parents: Population | None = None
+) -> Population:
+    """Every book through local_search, at positions drawn from (seed, generation, index).
+
+    A book that is itself one of `parents` is kept as it is.  Every book the
+    search keeps came out of extend_codebook and so is maximal, whatever the
+    mask, and extending it again would return an equal book.  Each book's
+    draws are keyed by its index alone, so skipping one moves no other's.
+    """
+    finished = set() if parents is None else {id(book) for book in parents.codebooks}
     books = []
     for idx, book in enumerate(population.codebooks):
+        if id(book) in finished:
+            books.append(book)
+            continue
         rng = _stream(config.seed, _MUTATION_STREAM, population.generation, idx)
         positions = np.flatnonzero(rng.random(book.n) < config.mutation_rate).tolist()
         books.append(local_search(book, positions))
@@ -536,6 +578,11 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     index), and each generation's recombination draws from (seed, generation),
     so identical inputs give identical reports regardless of how the
     per-child local searches would be scheduled.
+
+    Every book that selection keeps came out of extend_codebook, so it is
+    maximal, and maximality does not depend on the mask: a child that
+    recombination returns as one of its parents is kept without another
+    extension, and its skipped draws move no other child's.
     """
     config = config or DesignConfig()
     Codebook(n=n, k=k, d=d)  # validates the (n, k, d) parameter domain
@@ -547,7 +594,7 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     while not stop_check(history, config):
         gen = population.generation + 1
         children = recombination(population, _stream(seed, _RECOMBINE_STREAM, gen))
-        population = selection(population, _local_searched(children, config))
+        population = selection(population, _local_searched(children, config, population))
         history.append(record_generation(population))
         best, best_ones = _best_complete(population, best, best_ones)
         logger.debug(

@@ -274,8 +274,9 @@ class TestSelectCommand:
     @pytest.mark.parametrize(
         "row, column",
         [("4.0,sim,0.1,,1000", "ci95"), ("4.0,sim,0.1,0.01,1.5", "trials"),
-         ("nan,sim,0.1,0.01,1000", "snr_db")],
-        ids=["empty", "unparsable", "nan-snr"],
+         ("nan,sim,0.1,0.01,1000", "snr_db"), ("4.0,sim,nan,0.01,1000", "bler"),
+         ("4.0,sim,-3,0.01,1000", "bler"), ("4.0,sim,7,0.01,1000", "bler")],
+        ids=["empty", "unparsable", "nan-snr", "nan-bler", "negative-bler", "bler-above-one"],
     )
     def test_empty_table_cell_exit_one(self, tmp_path, capsys, row, column):
         lib = tmp_path / "library"
@@ -291,6 +292,19 @@ class TestSelectCommand:
                      "--rule", "qt>=0.5"]) == 1
         err = capsys.readouterr().err
         assert "book.csv" in err and f"'{column}'" in err and "line 3" in err
+
+    def test_theory_dominant_bler_above_one_is_read(self, tmp_path, capsys):
+        """The dominant term passes 1 at low SNR; select clamps it, not refuses it."""
+        lib = tmp_path / "library"
+        lib.mkdir()
+        book, table = lib / "hamming.json", lib / "hamming.csv"
+        assert main(["design", "--n", "7", "--k", "4", "--d", "3", "--out", str(book)]) == 0
+        assert main(["bler", "--codebook", str(book), "--snr-db=-10:0:5",
+                     "--mode", "theory-dominant", "--out", str(table)]) == 0
+        assert "theory-dominant,2.0" in table.read_text()
+        assert main(["select", "--library", str(lib), "--snr-db", "-10",
+                     "--rule", "qt>=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["throughput"] == 0.0
 
     def test_not_a_directory_exit_two(self, tmp_path):
         assert main(["select", "--library", str(tmp_path / "nowhere"),

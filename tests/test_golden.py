@@ -34,21 +34,41 @@ DESIGN_GOLDEN = [
      "65ff17accc461055960c9ca84cc9f1de568c0e3c1655a4872564ef1067eae7b3"),
 ]
 
+# n >= 13, where extend_codebook runs the bitset kernel, at 3 generations with patience 3
+BITSET_DESIGN_GOLDEN = [
+    ((16, 6, 4), 0, 784, 3, [(784, 4)],
+     "59570358449d87e58d5cd7a9b06dd7d81cb3c3b602879e2c5fc3a2fcc0ba6a1c"),
+    ((18, 3, 7), 0, 106, 3, [(106, 4)],
+     "ca5fb1e7cb745a12bb284a81d8b7c48a763bd97662135007444eff0e90d7801c"),
+]
+
 # a (7, 3, 3) codebook and its Monte Carlo error counts at seed 7, 40000 trials
 SIM_BOOK = (7, 3, 3, [0b0000000, 0b1110000, 0b1001100, 0b0111100,
                       0b0101010, 0b1011010, 0b1100110, 0b0010110])
 SIM_GOLDEN = [(0.0, 6011), (2.0, 2261), (4.0, 510)]
 
 
-@pytest.mark.parametrize("instance, seed, ones, generations, history, digest", DESIGN_GOLDEN)
-def test_design_report_pinned(instance, seed, ones, generations, history, digest):
-    report = genetic_local_search(*instance, DesignConfig(seed=seed))
+def check_report(report, ones, generations, history, digest):
     assert report.best_ones == ones
     assert report.generations_run == generations
     runs = [(w, len(list(g))) for w, g in itertools.groupby(report.weight_history)]
     assert runs == history
     text = serialize_codebook(report.best)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("instance, seed, ones, generations, history, digest", DESIGN_GOLDEN)
+def test_design_report_pinned(instance, seed, ones, generations, history, digest):
+    report = genetic_local_search(*instance, DesignConfig(seed=seed))
+    check_report(report, ones, generations, history, digest)
+
+
+@pytest.mark.parametrize(
+    "instance, seed, ones, generations, history, digest", BITSET_DESIGN_GOLDEN
+)
+def test_bitset_design_report_pinned(instance, seed, ones, generations, history, digest):
+    config = DesignConfig(seed=seed, max_generations=generations, patience=generations)
+    check_report(genetic_local_search(*instance, config), ones, generations, history, digest)
 
 
 @pytest.mark.parametrize("snr_db, errors", SIM_GOLDEN)

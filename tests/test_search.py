@@ -203,8 +203,11 @@ class TestExtend:
         monkeypatch.setattr(search, "extend_codebook", reference)
         assert first_generation() == fast
         assert len(fast) == 3
-        # ten initial books and ten children went through the reference
-        assert len(masks) == 20 and any(masks)
+        # the ten initial books and every child that is not a parent object,
+        # which the search keeps without extending it
+        parents, children, _ = fast
+        made = sum(all(c is not p for p in parents.codebooks) for c in children.codebooks)
+        assert len(masks) == 10 + made and any(masks)
 
     def test_golay_code(self):
         """The (23, 2**12, 7) lexicode is the binary Golay code.
@@ -287,6 +290,20 @@ class TestExtendKernels:
         for book in (Codebook(n=n, k=3, d=d), Codebook.from_values(n, 3, d, seeded)):
             mask = int(rng.integers(0, 1 << n))
             assert search._bitset_extend(book, mask) == ball_scatter_extend(book, mask)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_block_kernel_with_many_picks_from_seeded_books(self, data):
+        """At d = 2 and n >= 13 rounds pick several words each, whose low-part
+        balls are ORed together before the one write to the other blocks."""
+        n = data.draw(st.integers(13, 14))
+        raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+        book = Codebook.from_values(n, 3, 2, greedy_filter(n, 2, raw))
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        extended = search._bitset_extend(book, mask)
+        assert extended == ball_scatter_extend(book, mask)
+        added = np.setdiff1d(extended.values, book.values) ^ np.uint32(mask)
+        assert np.bincount(added >> 6).max() > 1
 
     @given(seed_books(max_n=5))
     @settings(max_examples=60, deadline=None)
@@ -490,18 +507,24 @@ class TestRecombination:
         child_one.validate()
         child_two.validate()
 
+        def exchange(own, other):
+            near = [v for v in own.values.tolist() if (v ^ anchor).bit_count() <= split - own.d]
+            far = [v for v in other.values.tolist() if (v ^ anchor).bit_count() >= split]
+            return Codebook.from_values(own.n, own.k, own.d, near + far)
+
+        assert (child_one, child_two) == (exchange(first, second), exchange(second, first))
+
     def test_split_extremes_swap_or_keep(self):
         first = Codebook.from_values(3, 2, 2, [0b000, 0b011])
         second = Codebook.from_values(3, 2, 2, [0b101, 0b110])
         anchor = 0b000
         # split 0: the near side is empty, so the children trade all codewords
+        # and are the parent objects themselves, which the search keeps unextended
         child_one, child_two = recombine_pair(first, second, anchor, 0)
-        assert set(child_one.values.tolist()) == {0b101, 0b110}
-        assert set(child_two.values.tolist()) == {0b000, 0b011}
-        # split n+d: the far side is empty, so each child keeps its parent
+        assert child_one is second and child_two is first
+        # split n+d: the far side is empty, so each child is its own parent
         child_one, child_two = recombine_pair(first, second, anchor, 5)
-        assert child_one.values.tolist() == first.values.tolist()
-        assert child_two.values.tolist() == second.values.tolist()
+        assert child_one is first and child_two is second
 
     def test_rejects_mismatched_parents(self):
         first = Codebook.from_values(3, 2, 2, [0b000])
@@ -728,6 +751,18 @@ class TestInitialPopulation:
             book.validate()
 
 
+def extend_every_child(population, config, parents=None):
+    """Reference local search: every book extended, its parents ignored, and
+    the mutation positions drawn from SeedSequence([seed, 1, generation, index])."""
+    books = []
+    for idx, book in enumerate(population.codebooks):
+        entropy = [config.seed, 1, population.generation, idx]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        positions = np.flatnonzero(rng.random(book.n) < config.mutation_rate).tolist()
+        books.append(search.local_search(book, positions))
+    return Population(tuple(books), population.generation)
+
+
 class TestGeneticLocalSearch:
     def test_golden_max_density_instance(self):
         report = genetic_local_search(3, 2, 1, DesignConfig(seed=0))
@@ -755,6 +790,42 @@ class TestGeneticLocalSearch:
         assert _stream(1 << 64, 0).random() != _stream(0, 0).random()
         wide = genetic_local_search(8, 3, 3, DesignConfig(seed=1 << 64))
         assert wide.best != genetic_local_search(8, 3, 3, DesignConfig(seed=0)).best
+
+    @given(st.integers(0, 1 << 70), st.lists(st.integers(0, 1 << 33), max_size=3))
+    @example(0, [0, 0])
+    @example((1 << 32) - 1, [1 << 32])
+    @example(1 << 64, [(1 << 33) - 1])
+    def test_stream_draws_as_seed_sequence_of_ints(self, seed, key):
+        entropy = np.random.SeedSequence([seed, *key])
+        expected = np.random.Generator(np.random.PCG64(entropy)).random(4)
+        assert _stream(seed, *key).random(4).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "n,k,d,generations",
+        [(7, 3, 3, 30), (10, 4, 3, 30), (10, 5, 3, 30), (13, 4, 4, 8), (16, 6, 4, 4)],
+    )
+    def test_kept_children_match_extending_every_child(self, monkeypatch, n, k, d, generations):
+        """Keeping children that are parent objects unextended gives the same
+        report as extending every child."""
+        extend, calls = search.local_search, []
+
+        def counted(book, positions):
+            calls.append(book)
+            return extend(book, positions)
+
+        monkeypatch.setattr(search, "local_search", counted)
+        skipped = 0
+        for seed in (0, 1, (1 << 64) + 5):
+            config = DesignConfig(seed=seed, max_generations=generations)
+            calls.clear()
+            fast = genetic_local_search(n, k, d, config)
+            searched = len(calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "_local_searched", extend_every_child)
+                assert genetic_local_search(n, k, d, config) == fast
+            skipped += len(calls) - 2 * searched
+        # some children were parent objects, which only the reference extended
+        assert skipped > 0
 
     def test_infeasible_instance_reports_failure(self):
         report = genetic_local_search(2, 2, 2, DesignConfig(seed=0, max_generations=40))
