@@ -96,24 +96,19 @@ def parse_snr_grid(text: str) -> list[float]:
 
 
 def parse_rule(text: str) -> SelectionRule:
-    """Parse 'qt>=X', 'throughput>=X', or 'bler<=X' into a SelectionRule."""
-    from .metrics import RULE_MAX_BLER, RULE_MIN_ENERGY, RULE_MIN_THROUGHPUT, SelectionRule
+    """Parse a rule spelled with one of metrics.SELECTION_RULES' prefixes and a
+    finite threshold, as 'qt>=0.6', into a SelectionRule."""
+    from .metrics import SELECTION_RULES, SelectionRule
 
     compact = text.replace(" ", "")
-    for prefix, kind in (
-        ("qt>=", RULE_MIN_ENERGY),
-        ("throughput>=", RULE_MIN_THROUGHPUT),
-        ("bler<=", RULE_MAX_BLER),
-    ):
-        if compact.startswith(prefix):
+    for kind, spec in SELECTION_RULES.items():
+        if compact.startswith(spec.prefix):
             try:
-                threshold = float(compact[len(prefix):])
+                return SelectionRule(kind, float(compact[len(spec.prefix):]))
             except ValueError:
                 break
-            return SelectionRule(kind=kind, threshold=threshold)
-    raise CliUsageError(
-        f"cannot parse rule {text!r}; use 'qt>=X', 'throughput>=X', or 'bler<=X'"
-    )
+    spellings = ", ".join(f"'{spec.prefix}X'" for spec in SELECTION_RULES.values())
+    raise CliUsageError(f"cannot parse rule {text!r}; use {spellings} with a finite X")
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -147,21 +142,18 @@ BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
 _BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
 
 
-def _bler_cell(path: Path, line_num: int, column: str, text: str | None, mode: str | None):
-    """One parsed cell of a bler CSV row in `mode`.
+def _bler_cell(path: Path, line_num: int, column: str, text: str | None):
+    """One parsed cell of a bler CSV row.
 
     An empty or unparsable cell is refused, and so is a non-finite snr_db or
-    a bler that is nan or lies outside [0, 1].  A theory-dominant bler is one
-    union-bound term, which passes 1 at low SNR, so there only a non-finite
-    or negative bler is refused.
+    a bler, in any mode, that is nan or lies outside [0, 1].
     """
     try:
         value = _BLER_CELL_TYPES[column](text) if text else None
     except ValueError:
         value = None
-    ceiling = sys.float_info.max if mode == "theory-dominant" else 1.0
     if (value is None or column == "snr_db" and not math.isfinite(value)
-            or column == "bler" and not 0 <= value <= ceiling):
+            or column == "bler" and not 0 <= value <= 1):
         raise ValueError(f"{path}: invalid {column!r} cell {text!r} on line {line_num}")
     return value
 
@@ -177,8 +169,7 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
         rows: list[BlerRow] = []
         modes: set[str] = set()
         for line in reader:
-            cells = {c: _bler_cell(path, reader.line_num, c, line[c], line["mode"])
-                     for c in BLER_COLUMNS}
+            cells = {c: _bler_cell(path, reader.line_num, c, line[c]) for c in BLER_COLUMNS}
             modes.add(cells.pop("mode"))
             rows.append(BlerRow(**cells))
     if not rows:
@@ -313,6 +304,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
     from .metrics import select_codebook
 
     rule = parse_rule(args.rule)
+    if not math.isfinite(args.snr_db):
+        raise CliUsageError(f"--snr-db {args.snr_db} is not finite")
     chosen = select_codebook(_load_library(args.library), args.snr_db, rule)
     if chosen is None:
         print(f"no codebook satisfies {args.rule!r} at {args.snr_db} dB", file=sys.stderr)
@@ -410,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True,
                    help="directory of codebook JSON files, each with a BLER table CSV of the same stem")
     p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
+    # the prefixes of metrics.SELECTION_RULES, spelled out as the --mode choices are
     p.add_argument("--rule", required=True,
                    help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
     _add_common(p)

@@ -167,18 +167,20 @@ def simulate_bler(
 
 
 def theoretical_bler_dominant(distribution: np.ndarray, params: ChannelParams) -> float:
-    """Minimum-distance term of the union bound, averaged over messages.
+    """Minimum-distance term of the union bound, averaged over messages and clamped to 1.
 
     `distribution` is the codebook's distance distribution (see
     codebook.distance_distribution).  With delta the codebook's actual
-    minimum distance, returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)).
+    minimum distance, returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)),
+    or 1 where that term passes 1, as it does at low SNR.
     """
     m = int(distribution[0])
     nonzero = np.flatnonzero(distribution[1:])
     if nonzero.size == 0:
         raise ValueError("a single codeword has no distances")
     delta = int(nonzero[0]) + 1
-    return float(int(distribution[delta]) / m * q_function(math.sqrt(delta * params.ebn0)))
+    value = float(int(distribution[delta]) / m * q_function(math.sqrt(delta * params.ebn0)))
+    return min(value, 1.0)
 
 
 def theoretical_bler_union(distribution: np.ndarray, params: ChannelParams) -> float:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,27 +74,36 @@ class BlerTable:
         return self.rows[0].snr_db, self.rows[-1].snr_db
 
 
-RULE_MIN_ENERGY = "min-energy-per-time"
-RULE_MIN_THROUGHPUT = "min-throughput"
-RULE_MAX_BLER = "max-bler"
-SELECTION_RULES = (RULE_MIN_ENERGY, RULE_MIN_THROUGHPUT, RULE_MAX_BLER)
+class _Rule(NamedTuple):
+    """How a selection rule is spelled on the command line, the SweepRecord
+    field its threshold bounds (`meets(field, threshold)` is operator.ge or
+    operator.le), and the field it then maximizes."""
+
+    prefix: str
+    bounded: str
+    meets: Callable[[float, float], bool]
+    maximized: str
+
+
+SELECTION_RULES = {
+    "min-energy-per-time": _Rule("qt>=", "energy_per_time", operator.ge, "throughput"),
+    "min-throughput": _Rule("throughput>=", "throughput", operator.ge, "energy_per_time"),
+    "max-bler": _Rule("bler<=", "bler", operator.le, "throughput"),
+}
 
 
 @dataclass(frozen=True)
 class SelectionRule:
-    """One constrained objective.
-
-    min-energy-per-time: maximize throughput s.t. energy_per_time >= threshold.
-    min-throughput:      maximize energy_per_time s.t. throughput >= threshold.
-    max-bler:            maximize throughput s.t. bler <= threshold.
-    """
+    """One constrained objective: a SELECTION_RULES kind and a finite threshold."""
 
     kind: str
     threshold: float
 
     def __post_init__(self):
         if self.kind not in SELECTION_RULES:
-            raise ValueError(f"kind must be one of {SELECTION_RULES}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(SELECTION_RULES)}, got {self.kind!r}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
 
 def throughput(book: Codebook, bler: float) -> float:
@@ -163,11 +174,8 @@ def _bler_rows(
 
 
 def _records(book: Codebook, codebook_id: str, rows: Sequence[BlerRow]) -> list[SweepRecord]:
-    """The operating point of one codebook at each BLER row.
-
-    Throughput uses the BLER clamped to [0, 1] since the dominant-term
-    approximation can exceed 1 at very low SNR.
-    """
+    """The operating point of one codebook at each BLER row; `throughput`
+    refuses a row whose BLER lies outside [0, 1]."""
     energy = energy_metrics(book)
     return [
         SweepRecord(
@@ -177,7 +185,7 @@ def _records(book: Codebook, codebook_id: str, rows: Sequence[BlerRow]) -> list[
             d=book.d,
             snr_db=row.snr_db,
             bler=row.bler,
-            throughput=throughput(book, min(row.bler, 1.0)),
+            throughput=throughput(book, row.bler),
             energy_per_bit=energy.energy_per_bit,
             energy_per_time=energy.energy_per_time,
         )
@@ -261,16 +269,8 @@ def select_codebook(
         (record,) = _records(book, table.codebook_id, [row])
         candidates.append((book, record))
 
-    if rule.kind == RULE_MIN_ENERGY:
-        meets = lambda r: r.energy_per_time >= rule.threshold
-        objective = lambda r: r.throughput
-    elif rule.kind == RULE_MIN_THROUGHPUT:
-        meets = lambda r: r.throughput >= rule.threshold
-        objective = lambda r: r.energy_per_time
-    else:
-        meets = lambda r: r.bler <= rule.threshold
-        objective = lambda r: r.throughput
-    feasible = [(book, record) for book, record in candidates if meets(record)]
+    spec = SELECTION_RULES[rule.kind]
+    feasible = [c for c in candidates if spec.meets(getattr(c[1], spec.bounded), rule.threshold)]
     if not feasible:
         return None
-    return max(feasible, key=lambda c: (objective(c[1]), c[1].codebook_id))
+    return max(feasible, key=lambda c: (getattr(c[1], spec.maximized), c[1].codebook_id))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -49,7 +50,8 @@ class TestParsing:
         assert parse_rule("throughput>=0.3").kind == "min-throughput"
         assert parse_rule("bler<=1e-3").threshold == pytest.approx(1e-3)
 
-    @pytest.mark.parametrize("bad", ["qt>0.5", "bler>=1", "qt>=x", "loss<=1"])
+    @pytest.mark.parametrize("bad", ["qt>0.5", "bler>=1", "qt>=x", "loss<=1", "qt>=nan",
+                                     "bler<=inf"])
     def test_rule_rejects_malformed(self, bad):
         with pytest.raises(CliUsageError):
             parse_rule(bad)
@@ -275,8 +277,10 @@ class TestSelectCommand:
         "row, column",
         [("4.0,sim,0.1,,1000", "ci95"), ("4.0,sim,0.1,0.01,1.5", "trials"),
          ("nan,sim,0.1,0.01,1000", "snr_db"), ("4.0,sim,nan,0.01,1000", "bler"),
-         ("4.0,sim,-3,0.01,1000", "bler"), ("4.0,sim,7,0.01,1000", "bler")],
-        ids=["empty", "unparsable", "nan-snr", "nan-bler", "negative-bler", "bler-above-one"],
+         ("4.0,sim,-3,0.01,1000", "bler"), ("4.0,sim,7,0.01,1000", "bler"),
+         ("4.0,theory-dominant,2.0,0.0,0", "bler")],
+        ids=["empty", "unparsable", "nan-snr", "nan-bler", "negative-bler", "bler-above-one",
+             "dominant-bler-above-one"],
     )
     def test_empty_table_cell_exit_one(self, tmp_path, capsys, row, column):
         lib = tmp_path / "library"
@@ -293,18 +297,25 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert "book.csv" in err and f"'{column}'" in err and "line 3" in err
 
-    def test_theory_dominant_bler_above_one_is_read(self, tmp_path, capsys):
-        """The dominant term passes 1 at low SNR; select clamps it, not refuses it."""
+    def test_theory_dominant_bler_reads_one_at_low_snr(self, tmp_path, capsys):
+        """The dominant term is clamped to 1 where it is written, so select reads it."""
         lib = tmp_path / "library"
         lib.mkdir()
         book, table = lib / "hamming.json", lib / "hamming.csv"
         assert main(["design", "--n", "7", "--k", "4", "--d", "3", "--out", str(book)]) == 0
         assert main(["bler", "--codebook", str(book), "--snr-db=-10:0:5",
                      "--mode", "theory-dominant", "--out", str(table)]) == 0
-        assert "theory-dominant,2.0" in table.read_text()
+        assert "-10.0,theory-dominant,1.0,0.0,0\n" in table.read_text()
         assert main(["select", "--library", str(lib), "--snr-db", "-10",
                      "--rule", "qt>=0"]) == 0
         assert json.loads(capsys.readouterr().out)["throughput"] == 0.0
+
+    @pytest.mark.parametrize("snr", ["nan", "inf"])
+    def test_non_finite_snr_exit_two(self, tmp_path, capsys, snr):
+        lib = self._library(tmp_path, [(3, 2, 1)])
+        capsys.readouterr()
+        assert main(["select", "--library", lib, f"--snr-db={snr}", "--rule", "qt>=0.5"]) == 2
+        assert "is not finite" in capsys.readouterr().err
 
     def test_not_a_directory_exit_two(self, tmp_path):
         assert main(["select", "--library", str(tmp_path / "nowhere"),
@@ -368,6 +379,10 @@ def test_parser_literals_match_metrics(command):
     assert mode.default == metrics.MODE_THEORY_DOMINANT
     assert trials.default == metrics.DEFAULT_TRIALS
     assert f"(default {metrics.DEFAULT_TRIALS})" in trials.help
+    rule = _option("select", "--rule")
+    assert re.findall(r"'(\S+)X'", rule.help) == [
+        spec.prefix for spec in metrics.SELECTION_RULES.values()
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -361,6 +361,19 @@ class TestTheoreticalBler:
         book = Codebook.from_values(4, 2, 1, [0b1111, 0b1110, 0b1101, 0b1011])
         assert theoretical_bler_union(distance_distribution(book), ChannelParams(-10.0)) == 1.0
 
+    def test_dominant_clamped_to_one(self):
+        # 8 neighbours at distance 1 per word: the raw term is about 3.0 at -10 dB
+        dist = distance_distribution(ALL_WORDS_8)
+        assert theoretical_bler_dominant(dist, ChannelParams(-10.0)) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(book=complete_books(), ebn0_db=st.floats(-30.0, 30.0))
+    def test_both_bounds_are_probabilities(self, book, ebn0_db):
+        dist = distance_distribution(book)
+        params = ChannelParams(ebn0_db)
+        assert 0.0 <= theoretical_bler_dominant(dist, params) <= 1.0
+        assert 0.0 <= theoretical_bler_union(dist, params) <= 1.0
+
     def test_dominant_uses_actual_min_distance(self):
         # declared d=1 but the actual minimum distance is 2
         book = EQUIDISTANT_4_2

@@ -220,6 +220,16 @@ class TestSelectCodebook:
         assert (book, record.codebook_id) == (SPARSE, "sparse")
         assert record.bler == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("kind, threshold, picked", [
+        ("min-energy-per-time", 0.0, "sparse"),
+        ("min-throughput", 0.0, "dense"),
+        ("max-bler", 1.0, "sparse"),
+    ])
+    def test_lax_threshold_picks_by_objective(self, kind, threshold, picked):
+        """With both books feasible, each rule picks the one its objective favours."""
+        book, record = select_codebook(self.library, 4.0, SelectionRule(kind, threshold))
+        assert record.codebook_id == picked
+
     def test_nearest_row_with_tie_to_lower_snr(self):
         rule = SelectionRule(kind="max-bler", threshold=1.0)
         for snr, row_snr in ((1.9, 0.0), (2.0, 0.0), (2.1, 4.0)):
@@ -264,6 +274,11 @@ class TestSelectCodebook:
     def test_bad_rule_kind_rejected(self):
         with pytest.raises(ValueError):
             SelectionRule(kind="best-effort", threshold=1.0)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            SelectionRule(kind="max-bler", threshold=threshold)
 
     def test_empty_library_rejected(self):
         rule = SelectionRule(kind="max-bler", threshold=1.0)
