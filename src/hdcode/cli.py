@@ -2,8 +2,10 @@
 
 Subcommands: design, validate, oracle, bler, sweep, select.  All output
 artifacts go to --out (default stdout); logs go to stderr, gated by the
-HDCODE_LOG environment variable.  Exit codes: 0 on success, 1 when hdcode
-refuses or fails the request, 2 when the command line does not parse.
+HDCODE_LOG environment variable.  Exit codes: 0 on success; 2 when the
+command line does not parse, from argparse alone, whose message names the
+argument; 1 when hdcode refuses or fails the request, from `main` alone, as
+`error: ...`.  A handler writes its artifact or raises.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING, Sequence
 # runs, so an hdcode process loads no module its subcommand does not use.
 from .codebook import (
     Codebook,
-    CodebookFormatError,
     codebook_document,
     load_codebook,
     min_distance,
@@ -35,10 +36,6 @@ if TYPE_CHECKING:
     from .metrics import BlerTable, SelectionRule
 
 logger = logging.getLogger("hdcode.cli")
-
-
-class CliUsageError(Exception):
-    """Bad argument values detected after argparse; exits with code 2."""
 
 
 def _configure_logging() -> None:
@@ -56,11 +53,15 @@ def _configure_logging() -> None:
 MAX_SNR_POINTS = 10_000
 
 
-def _snr_value(part: str, text: str) -> float:
-    value = float(part)
-    if not math.isfinite(value):
-        raise CliUsageError(f"SNR grid {text!r} holds the non-finite value {part.strip()!r}")
-    return value
+def parse_snr(text: str) -> float:
+    """Parse one finite SNR in dB: `select --snr-db`, and each value of a grid."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text.strip()!r}")
 
 
 def parse_snr_grid(text: str) -> list[float]:
@@ -71,7 +72,7 @@ def parse_snr_grid(text: str) -> list[float]:
     text = text.strip()
     try:
         if ":" in text:
-            parts = [_snr_value(p, text) for p in text.split(":")]
+            parts = [parse_snr(p) for p in text.split(":")]
             if len(parts) == 2:
                 parts.append(1.0)
             if len(parts) != 3:
@@ -81,16 +82,16 @@ def parse_snr_grid(text: str) -> list[float]:
                 raise ValueError
             span = (stop - start) / step + 1e-9
             if span >= MAX_SNR_POINTS:
-                raise CliUsageError(
+                raise argparse.ArgumentTypeError(
                     f"SNR range {text!r} holds more than {MAX_SNR_POINTS} points"
                 )
             return [start + i * step for i in range(int(span) + 1)]
-        grid = [_snr_value(p, text) for p in text.split(",") if p.strip()]
+        grid = [parse_snr(p) for p in text.split(",") if p.strip()]
         if not grid:
             raise ValueError
         return sorted(grid)
     except ValueError:
-        raise CliUsageError(
+        raise argparse.ArgumentTypeError(
             f"cannot parse SNR grid {text!r}; use '0,1,2' or 'start:stop[:step]'"
         ) from None
 
@@ -108,7 +109,13 @@ def parse_rule(text: str) -> SelectionRule:
             except ValueError:
                 break
     spellings = ", ".join(f"'{spec.prefix}X'" for spec in SELECTION_RULES.values())
-    raise CliUsageError(f"cannot parse rule {text!r}; use {spellings} with a finite X")
+    raise argparse.ArgumentTypeError(f"cannot parse rule {text!r}; use {spellings} with a finite X")
+
+
+def _directory(text: str) -> str:
+    if not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
+    return text
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -142,18 +149,21 @@ BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
 _BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
 
 
-def _bler_cell(path: Path, line_num: int, column: str, text: str | None):
+def _bler_cell(path: Path, line_num: int, column: str, text: str | None, seen: set[float]):
     """One parsed cell of a bler CSV row.
 
-    An empty or unparsable cell is refused, and so is a non-finite snr_db or
-    a bler, in any mode, that is nan or lies outside [0, 1].
+    An empty or unparsable cell is refused, and so is an snr_db that is not
+    finite or is in `seen`, a bler, in any mode, that is nan or lies outside
+    [0, 1], a ci95 that is nan, infinite or negative, and negative trials.
     """
     try:
         value = _BLER_CELL_TYPES[column](text) if text else None
     except ValueError:
         value = None
-    if (value is None or column == "snr_db" and not math.isfinite(value)
-            or column == "bler" and not 0 <= value <= 1):
+    if (value is None or column == "snr_db" and (not math.isfinite(value) or value in seen)
+            or column == "bler" and not 0 <= value <= 1
+            or column == "ci95" and not 0 <= value < math.inf
+            or column == "trials" and value < 0):
         raise ValueError(f"{path}: invalid {column!r} cell {text!r} on line {line_num}")
     return value
 
@@ -168,8 +178,10 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
             raise ValueError(f"{path}: expected columns {','.join(BLER_COLUMNS)}")
         rows: list[BlerRow] = []
         modes: set[str] = set()
+        snrs: set[float] = set()
         for line in reader:
-            cells = {c: _bler_cell(path, reader.line_num, c, line[c]) for c in BLER_COLUMNS}
+            cells = {c: _bler_cell(path, reader.line_num, c, line[c], snrs) for c in BLER_COLUMNS}
+            snrs.add(cells["snr_db"])
             modes.add(cells.pop("mode"))
             rows.append(BlerRow(**cells))
     if not rows:
@@ -182,11 +194,8 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
 
 def _load_library(directory: str) -> list[tuple[Codebook, BlerTable]]:
     """Read codebook JSON + BLER table CSV pairs (matched by stem) from a directory."""
-    root = Path(directory)
-    if not root.is_dir():
-        raise CliUsageError(f"--library {directory!r} is not a directory")
     pairs = []
-    for book_path in sorted(root.glob("*.json")):
+    for book_path in sorted(Path(directory).glob("*.json")):
         table_path = book_path.with_suffix(".csv")
         if not table_path.exists():
             raise ValueError(f"missing BLER table {table_path.name} next to {book_path.name}")
@@ -197,7 +206,7 @@ def _load_library(directory: str) -> list[tuple[Codebook, BlerTable]]:
     return pairs
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
+def _cmd_design(args: argparse.Namespace) -> None:
     from .search import DesignConfig, genetic_local_search
 
     config = DesignConfig(
@@ -219,35 +228,27 @@ def _cmd_design(args: argparse.Namespace) -> int:
         }
         Path(args.report).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if not report.succeeded:
-        print(
+        raise ValueError(
             f"design failed: no complete (n={args.n}, k={args.k}, d={args.d}) codebook "
-            f"found in {report.generations_run} generations",
-            file=sys.stderr,
+            f"found in {report.generations_run} generations"
         )
-        return 1
     logger.info(
         "design done: total ones %d after %d generations", report.best_ones, report.generations_run
     )
     _write_text(args.out, serialize_codebook(report.best))
-    return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        book = load_codebook(args.codebook)
-    except CodebookFormatError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+def _cmd_validate(args: argparse.Namespace) -> None:
+    book = load_codebook(args.codebook)
     summary = (
         f"valid: n={book.n} k={book.k} d={book.d} codewords={book.m} "
         f"min_distance={min_distance(book) if book.m >= 2 else 'n/a'} "
         f"total_ones={total_ones(book)}\n"
     )
     _write_text(args.out, summary)
-    return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     from .oracle import exhaustive_best_codebook
 
     result = exhaustive_best_codebook(args.n, args.k, args.d)
@@ -259,17 +260,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if result.witness is not None:
         payload["codebook"] = codebook_document(result.witness)
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
 
 
-def _cmd_bler(args: argparse.Namespace) -> int:
+def _cmd_bler(args: argparse.Namespace) -> None:
     from .metrics import bler_table
 
-    grid = parse_snr_grid(args.snr_db)
-    book = load_codebook(args.codebook)
     table = bler_table(
-        book,
-        grid,
+        load_codebook(args.codebook),
+        args.snr_db,
         mode=args.mode,
         trials=args.trials,
         seed=args.seed,
@@ -277,17 +275,15 @@ def _cmd_bler(args: argparse.Namespace) -> int:
     )
     rows = [(r.snr_db, table.mode, r.bler, r.ci95, r.trials) for r in table.rows]
     _write_text(args.out, _csv_text(BLER_COLUMNS, rows))
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     from .metrics import tradeoff_sweep
 
-    grid = parse_snr_grid(args.snr_db)
     books, ids = _load_books(args.codebook)
     records = tradeoff_sweep(
         books,
-        grid,
+        args.snr_db,
         mode=args.mode,
         trials=args.trials,
         seed=args.seed,
@@ -297,19 +293,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = [field.name for field in dataclasses.fields(records[0])]
     rows = [dataclasses.astuple(rec) for rec in records]
     _write_text(args.out, _csv_text(header, rows))
-    return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    from .metrics import select_codebook
+def _cmd_select(args: argparse.Namespace) -> None:
+    from .metrics import SELECTION_RULES, select_codebook
 
-    rule = parse_rule(args.rule)
-    if not math.isfinite(args.snr_db):
-        raise CliUsageError(f"--snr-db {args.snr_db} is not finite")
-    chosen = select_codebook(_load_library(args.library), args.snr_db, rule)
+    chosen = select_codebook(_load_library(args.library), args.snr_db, args.rule)
     if chosen is None:
-        print(f"no codebook satisfies {args.rule!r} at {args.snr_db} dB", file=sys.stderr)
-        return 1
+        rule = f"{SELECTION_RULES[args.rule.kind].prefix}{args.rule.threshold!r}"
+        raise ValueError(f"no codebook satisfies {rule!r} at {args.snr_db} dB")
     book, record = chosen
     payload = {
         "codebook_id": record.codebook_id,
@@ -321,7 +313,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         "codebook": codebook_document(book),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bler", help="evaluate BLER of one codebook over an SNR grid")
     p.add_argument("--codebook", required=True, help="path to a codebook JSON file")
-    p.add_argument("--snr-db", required=True,
+    p.add_argument("--snr-db", type=parse_snr_grid, required=True,
                    help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'; write a grid that "
                    "starts below zero as --snr-db=-2:2")
     _add_eval_options(p)
@@ -392,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="throughput/energy trade-off table for several codebooks")
     p.add_argument("--codebook", action="append", required=True,
                    help="codebook JSON path; repeat for several")
-    p.add_argument("--snr-db", default="0:8:0.5",
+    p.add_argument("--snr-db", type=parse_snr_grid, default="0:8:0.5",
                    help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
                    "write a grid that starts below zero as --snr-db=-2:2")
     _add_eval_options(p)
@@ -400,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = subs.add_parser("select", help="pick the best codebook for an operating point")
-    p.add_argument("--library", required=True,
+    p.add_argument("--library", type=_directory, required=True,
                    help="directory of codebook JSON files, each with a BLER table CSV of the same stem")
-    p.add_argument("--snr-db", type=float, required=True, help="operating SNR in dB")
+    p.add_argument("--snr-db", type=parse_snr, required=True, help="operating SNR in dB")
     # the prefixes of metrics.SELECTION_RULES, spelled out as the --mode choices are
-    p.add_argument("--rule", required=True,
+    p.add_argument("--rule", type=parse_rule, required=True,
                    help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
     _add_common(p)
     p.set_defaults(handler=_cmd_select)
@@ -417,13 +408,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging()
     try:
-        return args.handler(args)
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (CodebookFormatError, ValueError, OSError) as exc:
+        args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -131,17 +131,20 @@ class Codebook:
 def _word_array(values: Iterable[int], n: int) -> np.ndarray:
     """The values as a uint32 array.
 
-    Values of any other type are checked to fit in n bits before the cast;
-    a uint32 array is returned as it is, for the caller to check.
+    Values of any other type are checked to be integers, not bools, that fit
+    in n bits before the cast; a uint32 array is returned as it is, for the
+    caller to check.
     """
     if isinstance(values, np.ndarray):
         if values.dtype == np.uint32:
             return values
-        fits = not values.size or (values.min() >= 0 and values.max() < 1 << n)
+        values = values.tolist()
     else:
         values = list(values)
-        fits = not values or (min(values) >= 0 and max(values) < 1 << n)
-    if not fits:
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"codeword values must be integers, got {v!r}")
+    if values and (min(values) < 0 or max(values) >= 1 << n):
         raise ValueError(f"codeword values must fit in n={n} bits")
     return np.asarray(values, dtype=np.uint32)
 

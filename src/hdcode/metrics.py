@@ -135,6 +135,9 @@ def _sorted_grid(snr_grid: Sequence[float]) -> list[float]:
     grid = sorted(float(s) for s in snr_grid)
     if not grid:
         raise ValueError("snr_grid is empty")
+    for lo, hi in zip(grid, grid[1:]):
+        if lo == hi:
+            raise ValueError(f"snr_grid repeats the point {lo} dB")
     return grid
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hdcode import Codebook, metrics, parse_codebook, serialize_codebook, total_ones
-from hdcode.cli import CliUsageError, build_parser, main, parse_rule, parse_snr_grid
+from hdcode.cli import build_parser, main, parse_rule, parse_snr_grid
 
 
 def run_cli(*args, env=None):
@@ -20,6 +20,16 @@ def run_cli(*args, env=None):
         [sys.executable, "-m", "hdcode", *args],
         capture_output=True, text=True, env=merged,
     )
+
+
+def usage_error(argv, capsys):
+    """Run main on a command line that argparse refuses; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 class TestParsing:
@@ -35,14 +45,14 @@ class TestParsing:
     @pytest.mark.parametrize("bad", ["", "a,b", "5:1", "0:4:0", "1:2:3:4", "0:8:inf", "0,nan",
                                      "1e308:1.7e308:1e-300"])
     def test_snr_rejects_malformed(self, bad):
-        with pytest.raises(CliUsageError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_snr_grid(bad)
 
     def test_snr_range_point_cap(self):
         from hdcode.cli import MAX_SNR_POINTS
 
         assert len(parse_snr_grid(f"1:{MAX_SNR_POINTS}")) == MAX_SNR_POINTS
-        with pytest.raises(CliUsageError, match="more than"):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
             parse_snr_grid(f"0:{MAX_SNR_POINTS}")
 
     def test_rule_forms(self):
@@ -53,7 +63,7 @@ class TestParsing:
     @pytest.mark.parametrize("bad", ["qt>0.5", "bler>=1", "qt>=x", "loss<=1", "qt>=nan",
                                      "bler<=inf"])
     def test_rule_rejects_malformed(self, bad):
-        with pytest.raises(CliUsageError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_rule(bad)
 
 
@@ -105,7 +115,8 @@ class TestDesignCommand:
         code = main(["design", "--n", "2", "--k", "2", "--d", "2",
                      "--max-generations", "30", "--out", str(tmp_path / "x.json")])
         assert code == 1
-        assert "design failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: design failed: no complete (n=2, k=2, d=2) codebook" in err
 
 
 class TestValidateCommand:
@@ -121,7 +132,9 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 1
-        assert "distance" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "distance" in captured.err
+        assert captured.out == ""
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -173,15 +186,20 @@ class TestBlerCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_snr_exit_two(self, book_path, capsys):
-        assert main(["bler", "--codebook", book_path, "--snr-db", "zork"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        err = usage_error(["bler", "--codebook", book_path, "--snr-db", "zork"], capsys)
+        assert "argument --snr-db: expected a finite number, got 'zork'" in err
 
     @pytest.mark.parametrize("grid", ["0:inf", "-inf:0", "0:8:1e-12", "nan"])
     def test_unbounded_snr_grid_exit_two(self, book_path, capsys, grid):
         """Refused up front: no OverflowError, no 8e12-point grid, no nan row."""
-        assert main(["bler", "--codebook", book_path, f"--snr-db={grid}"]) == 2
+        err = usage_error(["bler", "--codebook", book_path, f"--snr-db={grid}"], capsys)
+        assert "argument --snr-db: " in err
+
+    def test_repeated_grid_point_exit_one(self, book_path, capsys):
+        assert main(["bler", "--codebook", book_path, "--snr-db", "1,1,2"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage error") and captured.out == ""
+        assert "error: snr_grid repeats the point 1.0 dB" in captured.err
+        assert captured.out == ""
 
     def test_negative_grid_after_equals_sign(self, book_path, capsys):
         # argparse reads "--snr-db -2:2" as a missing value followed by an option
@@ -249,9 +267,18 @@ class TestSelectCommand:
 
     def test_infeasible_rule_exit_one(self, tmp_path, capsys):
         lib = self._library(tmp_path, [(3, 2, 1)])
-        code = main(["select", "--library", lib, "--snr-db", "4", "--rule", "qt>=0.99"])
+        capsys.readouterr()
+        code = main(["select", "--library", lib, "--snr-db", "4", "--rule", "qt >= 0.99"])
         assert code == 1
-        assert "no codebook" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: no codebook satisfies 'qt>=0.99' at 4.0 dB\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rule", ["qt>0.5", "qt>=nan"])
+    def test_bad_rule_exit_two(self, tmp_path, capsys, rule):
+        err = usage_error(["select", "--library", str(tmp_path), "--snr-db", "4", "--rule", rule],
+                          capsys)
+        assert f"argument --rule: cannot parse rule {rule!r}" in err
 
     def test_snr_outside_tables_exit_one(self, tmp_path, capsys):
         """select_codebook refuses an SNR no table covers; the CLI reports its message."""
@@ -278,9 +305,12 @@ class TestSelectCommand:
         [("4.0,sim,0.1,,1000", "ci95"), ("4.0,sim,0.1,0.01,1.5", "trials"),
          ("nan,sim,0.1,0.01,1000", "snr_db"), ("4.0,sim,nan,0.01,1000", "bler"),
          ("4.0,sim,-3,0.01,1000", "bler"), ("4.0,sim,7,0.01,1000", "bler"),
-         ("4.0,theory-dominant,2.0,0.0,0", "bler")],
+         ("4.0,theory-dominant,2.0,0.0,0", "bler"), ("4.0,sim,0.1,nan,1000", "ci95"),
+         ("4.0,sim,0.1,inf,1000", "ci95"), ("4.0,sim,0.1,-0.01,1000", "ci95"),
+         ("4.0,sim,0.1,0.01,-5", "trials"), ("0.0,sim,0.1,0.01,1000", "snr_db")],
         ids=["empty", "unparsable", "nan-snr", "nan-bler", "negative-bler", "bler-above-one",
-             "dominant-bler-above-one"],
+             "dominant-bler-above-one", "nan-ci95", "infinite-ci95", "negative-ci95",
+             "negative-trials", "repeated-snr"],
     )
     def test_empty_table_cell_exit_one(self, tmp_path, capsys, row, column):
         lib = tmp_path / "library"
@@ -314,12 +344,15 @@ class TestSelectCommand:
     def test_non_finite_snr_exit_two(self, tmp_path, capsys, snr):
         lib = self._library(tmp_path, [(3, 2, 1)])
         capsys.readouterr()
-        assert main(["select", "--library", lib, f"--snr-db={snr}", "--rule", "qt>=0.5"]) == 2
-        assert "is not finite" in capsys.readouterr().err
+        err = usage_error(["select", "--library", lib, f"--snr-db={snr}", "--rule", "qt>=0.5"],
+                          capsys)
+        assert f"argument --snr-db: expected a finite number, got '{snr}'" in err
 
-    def test_not_a_directory_exit_two(self, tmp_path):
-        assert main(["select", "--library", str(tmp_path / "nowhere"),
-                     "--snr-db", "4", "--rule", "qt>=0.5"]) == 2
+    def test_not_a_directory_exit_two(self, tmp_path, capsys):
+        nowhere = str(tmp_path / "nowhere")
+        err = usage_error(["select", "--library", nowhere, "--snr-db", "4", "--rule", "qt>=0.5"],
+                          capsys)
+        assert f"argument --library: {nowhere!r} is not a directory" in err
 
 
 class TestProcessLevel:
@@ -385,17 +418,27 @@ def test_parser_literals_match_metrics(command):
     ]
 
 
+def test_parser_defaults_match_design_config():
+    """The design flags spell out DesignConfig's defaults so that building the
+    parser imports no search; each literal equals the field it fills."""
+    from hdcode.search import DesignConfig
+
+    args = build_parser().parse_args(["design", "-n", "3", "-k", "2", "-d", "1"])
+    config = DesignConfig()
+    for field in ("population_size", "mutation_rate", "patience", "max_generations", "seed"):
+        assert getattr(args, field) == getattr(config, field), field
+    assert tuple(args.init_size) == config.init_size_range
+
+
 @pytest.mark.parametrize("argv", [
     ["design", "-n", "3", "-k", "2", "-d", "1", "--literal-weight"],
     ["sweep", "--codebook", "book.json", "--literal-total"],
-    ["select", "--library", "lib", "--snr-db", "0", "--rule", "bler<=0.1", "--literal-total"],
+    ["select", "--library", "{lib}", "--snr-db", "0", "--rule", "bler<=0.1", "--literal-total"],
 ])
-def test_removed_reading_flags_are_usage_errors(argv, capsys):
+def test_removed_reading_flags_are_usage_errors(argv, tmp_path, capsys):
     """Fitness and energy each have one reading; the flags that chose another are gone."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --literal-" in capsys.readouterr().err
+    err = usage_error([a.format(lib=tmp_path) for a in argv], capsys)
+    assert "unrecognized arguments: --literal-" in err
 
 
 class TestImports:

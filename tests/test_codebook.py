@@ -108,11 +108,28 @@ class TestArrayCodebook:
         assert raw.flags.writeable
 
     def test_arrays_range_checked_before_cast(self):
-        for raw in (np.array([-1, 2]), np.array([2, 8], dtype=np.uint32)):
+        for raw in (np.array([-1, 2]), np.array([2, 8], dtype=np.uint32),
+                    np.array([2**63, 1], dtype=object)):
             with pytest.raises(ValueError, match="fit in n=3 bits"):
                 Codebook(3, 2, 1, raw)
             with pytest.raises(ValueError, match="fit in n=3 bits"):
                 Codebook.from_values(3, 2, 1, raw)
+
+    @pytest.mark.parametrize("raw", [
+        [0.5, 1.7, 2.2, 3.9], [0.0, 1.0, 2.0, 3.0], np.array([0.5, 1.7, 2.2, 3.9]),
+        [True, False], np.array([True, False]), [np.True_, 1], ["1", "2"],
+    ], ids=["floats", "whole-floats", "float-array", "bools", "bool-array", "numpy-bool",
+            "strings"])
+    def test_non_integer_words_refused(self, raw):
+        """Non-integer words are refused, not truncated to integers by the uint32 cast."""
+        with pytest.raises(ValueError, match="codeword values must be integers"):
+            Codebook.from_values(3, 2, 1, raw)
+
+    @pytest.mark.parametrize("raw", [
+        [np.int64(3), 5], np.array([3, 5], dtype=np.int8), np.array([3, 5], dtype=object),
+    ], ids=["numpy-scalars", "int8-array", "object-array"])
+    def test_integer_words_of_any_type_accepted(self, raw):
+        assert Codebook.from_values(3, 2, 1, raw).values.tolist() == [3, 5]
 
     @given(word_tuples())
     def test_byte_key_orders_like_tuples(self, pair):

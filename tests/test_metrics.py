@@ -102,6 +102,12 @@ class TestBlerTable:
             bler_table(DENSE, [])
 
     @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_repeated_grid_point_rejected(self, mode):
+        """Sim seeds are keyed by grid index, so a repeated point would get two rows."""
+        with pytest.raises(ValueError, match="snr_grid repeats the point 1.0 dB"):
+            bler_table(DENSE, [2, 1, 1.0], mode=mode, trials=2_000)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_refuses_incomplete_book(self, mode):
         purpose = "modulation" if mode == MODE_SIM else "theory BLER"
         expected = f"{purpose} requires exactly 2\\*\\*k = 4 codewords, got 3"
@@ -151,6 +157,10 @@ class TestTradeoffSweep:
             tradeoff_sweep([], [0.0])
         with pytest.raises(ValueError):
             tradeoff_sweep([DENSE], [])
+
+    def test_repeated_grid_point_rejected(self):
+        with pytest.raises(ValueError, match="snr_grid repeats the point 0.0 dB"):
+            tradeoff_sweep([DENSE, SPARSE], [0.0, 4.0, -0.0], mode=MODE_SIM, trials=2_000)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_refuses_incomplete_book(self, mode):
