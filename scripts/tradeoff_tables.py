@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Build the throughput/energy trade-off table and a selection library.
+"""Tabulate BLER curves, the throughput/energy trade-off and a selection library.
 
-Three artifacts from one directory of designed codebooks:
+Three artifacts under --out-dir from one directory of designed codebooks,
+plus example selections at a few operating points on stdout:
 
-  results/tradeoff.csv      sweep of every codebook over the SNR grid
-  results/library/          codebook JSON + BLER table CSV pairs for `select`
-  stdout                    example selections at a few operating points
+  bler/<stem>.<mode>.csv    every codebook's BLER curve in every mode of --modes
+  tradeoff.csv              sweep of every codebook over the SNR grid, in the first mode
+  library/                  each codebook JSON and its first-mode curve, for `select`
+
+Every CSV comes from the package CLI, so it is byte-identical to what
+`hdcode bler` or `hdcode sweep` writes by hand.  Theory curves are instant;
+add `sim` to --modes (with --trials) for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import shutil
 from pathlib import Path
 
 from hdcode.cli import main as hdcode_main
+from hdcode.metrics import BLER_MODES
 
 EXAMPLE_RULES = [
     (2.0, "bler<=1e-2"),
@@ -24,12 +30,16 @@ EXAMPLE_RULES = [
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no abbreviations, so the removed --mode is refused rather than read as --modes
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--books", default="results/codebooks",
                         help="directory of codebook JSON files")
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--snr-db", default="0:8:0.5")
-    parser.add_argument("--mode", default="theory-dominant")
+    parser.add_argument("--snr-db", default="0:8:0.5",
+                        help="grid as '0,1,2' or 'start:stop[:step]' (default 0:8:0.5)")
+    parser.add_argument("--modes", nargs="+", default=["theory-dominant", "theory-union"],
+                        choices=BLER_MODES,
+                        help="BLER modes to tabulate; the first is swept and fills the library")
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=4)
@@ -40,11 +50,25 @@ def main(argv=None) -> int:
         print(f"no codebook JSON files in {args.books}")
         return 1
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    curves, library = out_dir / "bler", out_dir / "library"
+    curves.mkdir(parents=True, exist_ok=True)
+    library.mkdir(exist_ok=True)
+    evaluation = [f"--snr-db={args.snr_db}", "--trials", str(args.trials),
+                  "--seed", str(args.seed), "--threads", str(args.threads)]
 
-    sweep_args = ["sweep", "--snr-db", args.snr_db, "--mode", args.mode,
-                  "--trials", str(args.trials), "--seed", str(args.seed),
-                  "--threads", str(args.threads),
+    for book in books:
+        for mode in args.modes:
+            out = curves / f"{book.stem}.{mode}.csv"
+            code = hdcode_main(["bler", "--codebook", str(book), "--mode", mode,
+                                *evaluation, "--out", str(out)])
+            if code != 0:
+                return code
+            print(f"wrote {out}")
+        shutil.copy(book, library / book.name)
+        shutil.copy(curves / f"{book.stem}.{args.modes[0]}.csv", library / f"{book.stem}.csv")
+    print(f"wrote selection library {library}")
+
+    sweep_args = ["sweep", "--mode", args.modes[0], *evaluation,
                   "--out", str(out_dir / "tradeoff.csv")]
     for book in books:
         sweep_args += ["--codebook", str(book)]
@@ -52,20 +76,6 @@ def main(argv=None) -> int:
     if code != 0:
         return code
     print(f"wrote {out_dir / 'tradeoff.csv'}")
-
-    library = out_dir / "library"
-    library.mkdir(exist_ok=True)
-    for book in books:
-        shutil.copy(book, library / book.name)
-        code = hdcode_main([
-            "bler", "--codebook", str(book), "--snr-db", args.snr_db,
-            "--mode", args.mode, "--trials", str(args.trials),
-            "--seed", str(args.seed), "--threads", str(args.threads),
-            "--out", str(library / f"{book.stem}.csv"),
-        ])
-        if code != 0:
-            return code
-    print(f"wrote selection library {library}")
 
     for snr, rule in EXAMPLE_RULES:
         print(f"\nselect --snr-db {snr} --rule '{rule}':")

@@ -145,6 +145,9 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+# literals, not metrics.BLER_MODES, so that building the parser imports no
+# metrics; tests/test_cli.py keeps the two equal
+BLER_MODES = ("theory-dominant", "theory-union", "sim")
 BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
 _BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
 
@@ -153,14 +156,16 @@ def _bler_cell(path: Path, line_num: int, column: str, text: str | None, seen: s
     """One parsed cell of a bler CSV row.
 
     An empty or unparsable cell is refused, and so is an snr_db that is not
-    finite or is in `seen`, a bler, in any mode, that is nan or lies outside
-    [0, 1], a ci95 that is nan, infinite or negative, and negative trials.
+    finite or is in `seen`, a mode that is not one of BLER_MODES, a bler, in
+    any mode, that is nan or lies outside [0, 1], a ci95 that is nan, infinite
+    or negative, and negative trials.
     """
     try:
         value = _BLER_CELL_TYPES[column](text) if text else None
     except ValueError:
         value = None
     if (value is None or column == "snr_db" and (not math.isfinite(value) or value in seen)
+            or column == "mode" and value not in BLER_MODES
             or column == "bler" and not 0 <= value <= 1
             or column == "ci95" and not 0 <= value < math.inf
             or column == "trials" and value < 0):
@@ -188,7 +193,6 @@ def _read_bler_table(path: Path, codebook_id: str) -> BlerTable:
         raise ValueError(f"{path}: table has no rows")
     if len(modes) != 1:
         raise ValueError(f"{path}: rows mix modes {sorted(modes)}")
-    rows.sort(key=lambda r: r.snr_db)
     return BlerTable(codebook_id=codebook_id, mode=modes.pop(), rows=tuple(rows))
 
 
@@ -324,10 +328,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
-    # literals, not metrics.BLER_MODES and friends, so that building the parser
-    # does not import metrics; tests/test_cli.py keeps the two equal
+    # literals, not metrics' constants, so that building the parser does not
+    # import metrics; tests/test_cli.py keeps the two equal
     sub.add_argument(
-        "--mode", choices=("theory-dominant", "theory-union", "sim"), default="theory-dominant",
+        "--mode", choices=BLER_MODES, default="theory-dominant",
         help="BLER evaluation mode (default theory-dominant)",
     )
     sub.add_argument(

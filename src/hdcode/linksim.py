@@ -32,9 +32,13 @@ logger = logging.getLogger("hdcode.linksim")
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """AWGN channel at a given Eb/N0 with Eb = 1; a 1-bit is sent as amplitude sqrt(2)."""
+    """AWGN channel at a given finite Eb/N0 with Eb = 1; a 1-bit is sent as amplitude sqrt(2)."""
 
     ebn0_db: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
 
     @property
     def ebn0(self) -> float:

@@ -63,11 +63,20 @@ class BlerRow:
 
 @dataclass(frozen=True)
 class BlerTable:
-    """BLER of one codebook over an SNR grid, under one evaluation mode."""
+    """BLER of one codebook over an SNR grid, under one evaluation mode.
+
+    The rows are kept in order of snr_db, whatever order they are given in,
+    and there must be at least one.
+    """
 
     codebook_id: str
     mode: str
     rows: tuple[BlerRow, ...]
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError(f"BLER table {self.codebook_id!r} has no rows")
+        object.__setattr__(self, "rows", tuple(sorted(self.rows, key=lambda r: r.snr_db)))
 
     @property
     def snr_range(self) -> tuple[float, float]:

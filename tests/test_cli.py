@@ -307,10 +307,11 @@ class TestSelectCommand:
          ("4.0,sim,-3,0.01,1000", "bler"), ("4.0,sim,7,0.01,1000", "bler"),
          ("4.0,theory-dominant,2.0,0.0,0", "bler"), ("4.0,sim,0.1,nan,1000", "ci95"),
          ("4.0,sim,0.1,inf,1000", "ci95"), ("4.0,sim,0.1,-0.01,1000", "ci95"),
-         ("4.0,sim,0.1,0.01,-5", "trials"), ("0.0,sim,0.1,0.01,1000", "snr_db")],
+         ("4.0,sim,0.1,0.01,-5", "trials"), ("0.0,sim,0.1,0.01,1000", "snr_db"),
+         ("4.0,bogus,0.1,0.01,1000", "mode")],
         ids=["empty", "unparsable", "nan-snr", "nan-bler", "negative-bler", "bler-above-one",
              "dominant-bler-above-one", "nan-ci95", "infinite-ci95", "negative-ci95",
-             "negative-trials", "repeated-snr"],
+             "negative-trials", "repeated-snr", "bogus-mode"],
     )
     def test_empty_table_cell_exit_one(self, tmp_path, capsys, row, column):
         lib = tmp_path / "library"

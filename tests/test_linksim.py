@@ -93,6 +93,12 @@ class TestChannelParams:
         assert low.n0 > high.n0
         assert low.noise_sigma == pytest.approx(math.sqrt(low.n0 / 2))
 
+    @pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ebn0_refused(self, ebn0_db):
+        """No channel is built at a non-finite Eb/N0, so no simulation runs at one."""
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            simulate_bler(DENSE_3_2, ChannelParams(ebn0_db), 100, seed=1)
+
     def test_amplitude_and_eb(self):
         """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB."""
         params = ChannelParams(0.0)

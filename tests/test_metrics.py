@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import hdcode.metrics
@@ -25,6 +27,7 @@ SPARSE = Codebook.from_values(3, 2, 2, [0b111, 0b100, 0b010, 0b001])
 INCOMPLETE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])
 THEORY_MODES = [MODE_THEORY_DOMINANT, MODE_THEORY_UNION]
 ALL_MODES = [*THEORY_MODES, MODE_SIM]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def table(codebook_id, points):
@@ -108,6 +111,26 @@ class TestBlerTable:
             bler_table(DENSE, [2, 1, 1.0], mode=mode, trials=2_000)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("snr", NON_FINITE)
+    def test_non_finite_grid_point_rejected(self, mode, snr):
+        """A nan point would otherwise write a nan bler in the theory modes."""
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            bler_table(DENSE, [snr, 1.0], mode=mode, trials=1_000)
+
+    def test_rows_given_out_of_order_are_sorted(self):
+        """A table built from unsorted rows, as read from a file, spans its whole grid."""
+        unsorted = table("dense", [(4.0, 0.1), (0.0, 0.5), (8.0, 0.01)])
+        assert [row.snr_db for row in unsorted.rows] == [0.0, 4.0, 8.0]
+        assert unsorted.snr_range == (0.0, 8.0)
+        rule = SelectionRule(kind="max-bler", threshold=1.0)
+        book, record = select_codebook([(DENSE, unsorted)], 2.0, rule)
+        assert record.snr_db == 0.0
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="'dense' has no rows"):
+            table("dense", [])
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_refuses_incomplete_book(self, mode):
         purpose = "modulation" if mode == MODE_SIM else "theory BLER"
         expected = f"{purpose} requires exactly 2\\*\\*k = 4 codewords, got 3"
@@ -161,6 +184,12 @@ class TestTradeoffSweep:
     def test_repeated_grid_point_rejected(self):
         with pytest.raises(ValueError, match="snr_grid repeats the point 0.0 dB"):
             tradeoff_sweep([DENSE, SPARSE], [0.0, 4.0, -0.0], mode=MODE_SIM, trials=2_000)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("snr", NON_FINITE)
+    def test_non_finite_grid_point_rejected(self, mode, snr):
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            tradeoff_sweep([DENSE], [snr], mode=mode, trials=1_000)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_refuses_incomplete_book(self, mode):
