@@ -112,6 +112,17 @@ def parse_rule(text: str) -> SelectionRule:
     raise argparse.ArgumentTypeError(f"cannot parse rule {text!r}; use {spellings} with a finite X")
 
 
+def _positive_int(text: str) -> int:
+    """Parse `--threads` and `--trials`, whichever mode or command reads them."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text.strip()!r}")
+    return value
+
+
 def _directory(text: str) -> str:
     if not Path(text).is_dir():
         raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
@@ -322,7 +333,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_positive_int, default=1,
                      help="threads over the 16384-trial shards of each Monte Carlo run "
                      "(default 1); only bler and sweep in sim mode use it")
 
@@ -335,7 +346,7 @@ def _add_eval_options(sub: argparse.ArgumentParser) -> None:
         help="BLER evaluation mode (default theory-dominant)",
     )
     sub.add_argument(
-        "--trials", type=int, default=100_000,
+        "--trials", type=_positive_int, default=100_000,
         help="Monte Carlo trials per point in sim mode (default 100000)",
     )
 

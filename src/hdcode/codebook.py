@@ -76,6 +76,17 @@ class Codebook:
         """
         return self.values.astype(">u4").tobytes()
 
+    @cached_property
+    def min_distance(self) -> int:
+        """Minimum pairwise Hamming distance of the words, measured once per book.
+
+        Construction does not enforce d (validate() does), so a book that was
+        never validated may fall below it, and any book may exceed it.
+        """
+        if self.m < 2:
+            raise ValueError("min distance is undefined for fewer than 2 codewords")
+        return min(int(block.min()) for _, block in _distance_blocks(self))
+
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
@@ -168,9 +179,7 @@ def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
 
 def min_distance(book: Codebook) -> int:
     """Minimum pairwise Hamming distance over all distinct codeword pairs."""
-    if book.m < 2:
-        raise ValueError("min distance is undefined for fewer than 2 codewords")
-    return min(int(block.min()) for _, block in _distance_blocks(book))
+    return book.min_distance
 
 
 def distance_distribution(book: Codebook) -> np.ndarray:

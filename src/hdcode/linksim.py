@@ -2,7 +2,9 @@
 
 Monte Carlo runs are sharded into fixed-size blocks, each with its own
 counter-keyed generator, so the estimate is a pure function of (codebook,
-channel, trials, seed) no matter how many threads execute the shards.
+channel, trials, seed) no matter how many threads execute the shards.  A
+shard decodes only the trials whose noise alone cannot prove the decision
+right (see _undecided_rows).
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .codebook import Codebook, message_order
 
 SHARD_SIZE = 1 << 14
 
+# Eb = 1: a 1-bit is sent at this amplitude, a 0-bit at zero.
+AMPLITUDE = math.sqrt(2.0)
+
 # Byte budget for one block's (rows, 2**k) float64 score matrix; a shard whose
 # scores would exceed it is decoded in row blocks (never fewer than one row).
 # A 256 KiB block stays in cache, and its product is small enough that
@@ -26,6 +31,11 @@ SHARD_SIZE = 1 << 14
 # start its own threads, which contend with the shard pool: at 4 MiB, two
 # pool threads ran slower than one on a 2-core machine.
 SCORE_BUDGET_BYTES = 1 << 18
+
+# How far below zero a trial's early-accept test value must lie for the trial
+# to count as decoded right without decoding; _undecided_rows shows that it
+# dominates the float64 rounding of the test and of the decoder's scores.
+ACCEPT_MARGIN = 1e-9
 
 logger = logging.getLogger("hdcode.linksim")
 
@@ -50,7 +60,7 @@ class ChannelParams:
 
     @property
     def amplitude(self) -> float:
-        return math.sqrt(2.0)
+        return AMPLITUDE
 
     @property
     def noise_sigma(self) -> float:
@@ -119,15 +129,75 @@ def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return decoded
 
 
+def _clear_threshold(sigma: float, delta: int, n: int) -> float:
+    """The early-accept threshold t of a book with n positions and minimum
+    distance delta: the |z| that N(0, sigma**2) noise exceeds with probability
+    delta/n, so that about delta of a trial's n noise values exceed it.
+
+    Found by bisection on math.erfc; t sets how many trials clear, never
+    whether a cleared trial is decoded right.
+    """
+    p = delta / n  # P(|z| > t) = erfc(t / (sigma sqrt 2))
+    lo, hi = 0.0, 40.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > p:
+            lo = mid
+        else:
+            hi = mid
+    return sigma * hi
+
+
+def _undecided_rows(noise: np.ndarray, delta: int, threshold: float) -> np.ndarray:
+    """Indices of the rows of `noise` that the early-accept test cannot clear.
+
+    Let A be the amplitude, delta the book's actual minimum distance and
+    u_i = |z_i| - A/2.  A word that differs from the sent one on a set S of
+    positions, |S| >= delta, scores A**2 |S| / 2 + z.(c_sent - c) >=
+    -A sum_S u_i below it.  If the delta largest u_i sum below zero, so does
+    every larger set, and ML picks the sent word.  For any t >= 0 (here
+    `threshold`), V = delta (t - A/2) + sum_i max(0, |z_i| - t) bounds that
+    sum from above, and a row clears when its computed V lies below
+    -ACCEPT_MARGIN.  t moves only how many rows clear.
+
+    The margin, 1e-9, dominates float64 rounding (unit 1.1e-16, any
+    summation order).  A cleared row has every |z_i| < delta A/2 <= 17, as
+    n <= 24.  V is then computed within 1e-13, and rounding the received
+    vector moves the bound by less than 1e-13.  Each decoder score
+    r.c - |c|**2/2 lies within 2e-12 of its exact value: at most 24 products
+    of at most 18.5 by A.  So the sent word leads every other computed score
+    by at least A 1e-9 - 5e-12 > 0, and the full decode returns it too.
+    """
+    limit = delta * (0.5 * AMPLITUDE - threshold) - ACCEPT_MARGIN
+    if limit <= 0.0:  # every V is at least -limit: nothing clears
+        return np.arange(len(noise))
+    excess = np.abs(noise)
+    excess -= threshold
+    np.maximum(excess, 0.0, out=excess)
+    return np.flatnonzero(excess @ np.ones(noise.shape[1]) >= limit)
+
+
 def _shard_errors(
-    mod: np.ndarray, sigma: float, n: int, seed: int, shard_index: int, count: int
-) -> int:
+    mod: np.ndarray, sigma: float, delta: int, threshold: float,
+    seed: int, shard_index: int, count: int,
+) -> tuple[int, int]:
+    """Errors and decoded trials among `count` trials from the Philox key
+    (seed, shard_index), for a book of minimum distance `delta`.
+
+    Standard normals scaled in place are the doubles normal(0, sigma) draws.
+    Only the rows _undecided_rows keeps are decoded; every other trial is one
+    the full decode gets right, so the error count is that of decoding all.
+    """
     key = np.array([seed, shard_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     messages = rng.integers(0, mod.shape[0], size=count)
-    received = rng.normal(0.0, sigma, size=(count, n))
-    received += mod[messages]
-    return int(np.count_nonzero(_ml_messages(received, mod) != messages))
+    noise = rng.standard_normal(size=(count, mod.shape[1]))
+    noise *= sigma
+    hard = _undecided_rows(noise, delta, threshold)
+    if len(hard) < count:
+        noise, messages = noise[hard], messages[hard]
+    noise += mod[messages]
+    return int(np.count_nonzero(_ml_messages(noise, mod) != messages)), len(hard)
 
 
 def simulate_bler(
@@ -147,25 +217,30 @@ def simulate_bler(
         raise ValueError("threads must be >= 1")
     mod = modulated_matrix(book, params)
     sigma = params.noise_sigma
+    delta = book.min_distance
+    threshold = _clear_threshold(sigma, delta, book.n)
     shards = [
         (idx, min(SHARD_SIZE, trials - start))
         for idx, start in enumerate(range(0, trials, SHARD_SIZE))
     ]
 
-    def run(shard: tuple[int, int]) -> int:
+    def run(shard: tuple[int, int]) -> tuple[int, int]:
         idx, count = shard
-        return _shard_errors(mod, sigma, book.n, seed, idx, count)
+        return _shard_errors(mod, sigma, delta, threshold, seed, idx, count)
 
     start = time.perf_counter()
     if threads == 1 or len(shards) == 1:
-        errors = sum(run(s) for s in shards)
+        counts = [run(s) for s in shards]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = sum(pool.map(run, shards))
+            counts = list(pool.map(run, shards))
     seconds = time.perf_counter() - start
+    errors = sum(e for e, _ in counts)
+    decoded = sum(h for _, h in counts)
     logger.debug(
-        "simulated %d trials in %d shards on %d threads: %.3f s, %.0f trials/s",
-        trials, len(shards), threads, seconds, trials / seconds,
+        "simulated %d trials in %d shards on %d threads: %.3f s, %.0f trials/s; "
+        "%d decoded, %d cleared by the noise test",
+        trials, len(shards), threads, seconds, trials / seconds, decoded, trials - decoded,
     )
     return BlerEstimate.from_counts(errors, trials)
 

@@ -207,6 +207,17 @@ class TestBlerCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
 
+    @pytest.mark.parametrize("mode", ["theory-dominant", "sim"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "0"), ("--threads", "-3"), ("--trials", "0"), ("--trials", "-5"),
+        ("--trials", "1e5"),
+    ])
+    def test_counts_must_be_positive_integers_exit_two(self, book_path, capsys, mode, flag, value):
+        """The theory modes ignore both values but still refuse a bad one."""
+        err = usage_error(["bler", "--codebook", book_path, "--snr-db", "0", "--mode", mode,
+                           flag, value], capsys)
+        assert f"argument {flag}: expected a positive integer, got {value!r}" in err
+
     def test_negative_sim_seed_exit_one(self, book_path, capsys):
         assert main(["bler", "--codebook", book_path, "--snr-db", "0", "--mode", "sim",
                      "--trials", "1000", "--seed", "-1"]) == 1

@@ -1,12 +1,13 @@
 import logging
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hdcode import (
     BlerEstimate,
@@ -22,7 +23,7 @@ from hdcode import (
 )
 from hdcode import linksim
 from hdcode.codebook import min_distance
-from hdcode.linksim import SHARD_SIZE, modulated_matrix
+from hdcode.linksim import ACCEPT_MARGIN, AMPLITUDE, SHARD_SIZE, modulated_matrix
 
 REPETITION_PAIR = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
 DENSE_3_2 = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
@@ -241,20 +242,62 @@ class TestSimulateBler:
         assert single == pooled
         assert 0 < single.errors < trials
 
-    @given(complete_books(), st.floats(-2.0, 10.0), st.integers(0, 2**64 - 1),
-           st.integers(0, 1000), st.integers(1, 300))
+    @given(complete_books(), st.floats(-20.0, 30.0), st.integers(0, 2**64 - 1),
+           st.integers(0, 1000), st.integers(1, 300), st.floats(0.0, AMPLITUDE / 2))
+    # declared d = 1, measured distance 2
+    @example(Codebook.from_values(4, 2, 1, EQUIDISTANT_4_2.values), 4.0, 1, 0, 300, 0.5)
     @settings(max_examples=60, deadline=None)
-    def test_shard_matches_einsum_reference(self, book, snr, seed, shard_index, count):
+    def test_shard_matches_einsum_reference(self, book, snr, seed, shard_index, count, threshold):
+        """The early accept changes no error count, at the threshold simulate_bler
+        sets and at any other in [0, A/2], with delta the measured distance, which
+        the drawn books' declared d may fall below."""
         params = ChannelParams(snr)
         mod = modulated_matrix(book, params)
-        args = (mod, params.noise_sigma, book.n, seed, shard_index, count)
-        assert linksim._shard_errors(*args) == einsum_shard_errors(*args)
+        sigma, delta = params.noise_sigma, min_distance(book)
+        expected = einsum_shard_errors(mod, sigma, book.n, seed, shard_index, count)
+        for t in (linksim._clear_threshold(sigma, delta, book.n), threshold):
+            errors, decoded = linksim._shard_errors(mod, sigma, delta, t, seed, shard_index, count)
+            assert errors == expected
+            assert errors <= decoded <= count
+
+    def test_early_accept_stops_at_the_margin(self):
+        """Noise on the two positions where 0000 and 0011 differ, a below A/2 on
+        both, gives the test value V = 2 (a - A/2) at any threshold below a: a
+        row clears just below V = -ACCEPT_MARGIN and is decoded just above it."""
+        a = AMPLITUDE / 2 - ACCEPT_MARGIN / 2
+        step = 1e-12  # a thousandth of the margin, a thousand times V's rounding
+        noise = np.array([
+            [0.0, 0.0, a - step, -(a - step)],
+            [0.0, 0.0, a + step, -(a + step)],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, AMPLITUDE],
+        ])
+        assert linksim._undecided_rows(noise, 2, 0.5).tolist() == [1, 3]
+        # the third row's V is 2 (t - A/2): below -margin for t = 0, not for t = A/2
+        assert linksim._undecided_rows(noise, 2, 0.0).tolist() == [1, 3]
+        assert linksim._undecided_rows(noise, 2, AMPLITUDE / 2).tolist() == [0, 1, 2, 3]
+        # the rows it clears are ones the decoder gets right (0000 is message 3)
+        mod = modulated_matrix(EQUIDISTANT_4_2, ChannelParams(0.0))
+        assert linksim._ml_messages(noise[[0, 2]] + mod[3], mod).tolist() == [3, 3]
+
+    def test_book_below_its_declared_d_gets_the_full_decode_count(self):
+        """Codebook does not enforce d: a book declared at d = 3 whose words lie
+        at distance 2 is accepted only on its measured distance."""
+        book = Codebook(4, 2, 3, EQUIDISTANT_4_2.values)
+        trials = SHARD_SIZE + 300
+        for snr in (0.0, 4.0, 8.0):
+            params = ChannelParams(snr)
+            mod = modulated_matrix(book, params)
+            full = einsum_shard_errors(mod, params.noise_sigma, 4, 5, 0, SHARD_SIZE)
+            full += einsum_shard_errors(mod, params.noise_sigma, 4, 5, 1, 300)
+            assert simulate_bler(book, params, trials, seed=5).errors == full > 0
 
     def test_shard_memory_is_bounded(self):
         # the einsum decoder built a (SHARD_SIZE, 4096, 12) float64 tensor
         # here, 6.4 GB, and one unsplit score matrix would be 512 MiB; the
         # shard now holds one 256 KiB score block and at most two
-        # (SHARD_SIZE, 12) float64 arrays of 1.5 MiB
+        # (SHARD_SIZE, 12) float64 arrays of 1.5 MiB: the noise and its
+        # early-accept excess, then the undecided rows and their codewords
         params = ChannelParams(4.0)
         tracemalloc.start()
         try:
@@ -282,6 +325,10 @@ class TestSimulateBler:
         message = record.getMessage()
         for part in (f"{2 * SHARD_SIZE + 5} trials", "3 shards", "2 threads", "trials/s"):
             assert part in message
+        decoded, cleared = map(int, re.search(
+            r"(\d+) decoded, (\d+) cleared by the noise test", message).groups())
+        assert decoded + cleared == 2 * SHARD_SIZE + 5
+        assert 0 < decoded < 2 * SHARD_SIZE + 5
 
     def test_seed_changes_result(self):
         params = ChannelParams(0.0)
