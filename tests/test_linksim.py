@@ -261,13 +261,13 @@ class TestSimulateBler:
             assert errors <= decoded <= count
 
     def test_early_accept_stops_at_the_margin(self):
-        """Noise on the two positions where 0000 and 0011 differ, a below A/2 on
-        both, gives the test value V = 2 (a - A/2) at any threshold below a: a
-        row clears just below V = -ACCEPT_MARGIN and is decoded just above it."""
+        """Noise a, just below A/2, on the two positions where 0000 and 0011
+        differ gives the test value V = 2 (a - A/2) at any threshold below a:
+        a row clears just below V = -ACCEPT_MARGIN and is decoded just above."""
         a = AMPLITUDE / 2 - ACCEPT_MARGIN / 2
         step = 1e-12  # a thousandth of the margin, a thousand times V's rounding
         noise = np.array([
-            [0.0, 0.0, a - step, -(a - step)],
+            [0.0, 0.0, a - step, a - step],
             [0.0, 0.0, a + step, -(a + step)],
             [0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, AMPLITUDE],
@@ -276,7 +276,8 @@ class TestSimulateBler:
         # the third row's V is 2 (t - A/2): below -margin for t = 0, not for t = A/2
         assert linksim._undecided_rows(noise, 2, 0.0).tolist() == [1, 3]
         assert linksim._undecided_rows(noise, 2, AMPLITUDE / 2).tolist() == [0, 1, 2, 3]
-        # the rows it clears are ones the decoder gets right (0000 is message 3)
+        # the rows it clears are ones the decoder gets right (0000 is message
+        # 3), the first by a score gap of about A * 1e-9 over 0011
         mod = modulated_matrix(EQUIDISTANT_4_2, ChannelParams(0.0))
         assert linksim._ml_messages(noise[[0, 2]] + mod[3], mod).tolist() == [3, 3]
 
