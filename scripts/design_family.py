@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from hdcode import DesignConfig, genetic_local_search, min_distance, serialize_codebook
+from hdcode import DesignConfig, genetic_local_search, serialize_codebook
 
 FAMILY = [
     (10, 3, 3),
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             print(f"{name:>10} {'failed':>6}")
             continue
         (out_dir / f"{name}.json").write_text(serialize_codebook(report.best))
-        print(f"{name:>10} {report.best_ones:>6} {min_distance(report.best):>9} "
+        print(f"{name:>10} {report.best_ones:>6} {report.best.min_distance:>9} "
               f"{report.generations_run:>12}")
     if failures:
         print(f"no complete codebook found for: {', '.join(failures)}")

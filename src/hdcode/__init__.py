@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "codebook": (
         "MAX_N", "Codebook", "CodebookFormatError", "distance_distribution", "finalize",
-        "load_codebook", "message_order", "min_distance", "parse_codebook",
-        "positions_to_mask", "save_codebook", "serialize_codebook", "total_ones",
+        "load_codebook", "message_order", "parse_codebook", "positions_to_mask",
+        "save_codebook", "serialize_codebook", "total_ones",
     ),
     "linksim": (
         "BlerEstimate", "ChannelParams", "q_function", "simulate_bler",

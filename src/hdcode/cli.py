@@ -27,7 +27,6 @@ from .codebook import (
     Codebook,
     codebook_document,
     load_codebook,
-    min_distance,
     serialize_codebook,
     total_ones,
 )
@@ -110,6 +109,17 @@ def parse_rule(text: str) -> SelectionRule:
                 break
     spellings = ", ".join(f"'{spec.prefix}X'" for spec in SELECTION_RULES.values())
     raise argparse.ArgumentTypeError(f"cannot parse rule {text!r}; use {spellings} with a finite X")
+
+
+def _nonnegative_int(text: str) -> int:
+    """Parse `--seed`, in every command and mode that reads it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text.strip()!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -257,7 +267,7 @@ def _cmd_validate(args: argparse.Namespace) -> None:
     book = load_codebook(args.codebook)
     summary = (
         f"valid: n={book.n} k={book.k} d={book.d} codewords={book.m} "
-        f"min_distance={min_distance(book) if book.m >= 2 else 'n/a'} "
+        f"min_distance={book.min_distance if book.m >= 2 else 'n/a'} "
         f"total_ones={total_ones(book)}\n"
     )
     _write_text(args.out, summary)
@@ -330,14 +340,6 @@ def _cmd_select(args: argparse.Namespace) -> None:
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="threads over the 16384-trial shards of each Monte Carlo run "
-                     "(default 1); only bler and sweep in sim mode use it")
-
-
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
     # literals, not metrics' constants, so that building the parser does not
     # import metrics; tests/test_cli.py keeps the two equal
@@ -349,6 +351,9 @@ def _add_eval_options(sub: argparse.ArgumentParser) -> None:
         "--trials", type=_positive_int, default=100_000,
         help="Monte Carlo trials per point in sim mode (default 100000)",
     )
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="threads over the 16384-trial shards of each Monte Carlo run "
+                     "(default 1); the theory modes ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,19 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=20,
                    help="stop after this many generations without progress")
     p.add_argument("--max-generations", type=int, default=500)
-    _add_common(p)
     p.set_defaults(handler=_cmd_design)
 
     p = subs.add_parser("validate", help="check a codebook file against its declared (n, k, d)")
     p.add_argument("codebook", help="path to a codebook JSON file")
-    _add_common(p)
     p.set_defaults(handler=_cmd_validate)
 
     p = subs.add_parser("oracle", help="exact optimum for small (n, k, d) by exhaustive search")
     p.add_argument("-n", "--n", type=int, required=True)
     p.add_argument("-k", "--k", type=int, required=True)
     p.add_argument("-d", "--d", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_oracle)
 
     p = subs.add_parser("bler", help="evaluate BLER of one codebook over an SNR grid")
@@ -392,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'; write a grid that "
                    "starts below zero as --snr-db=-2:2")
     _add_eval_options(p)
-    _add_common(p)
     p.set_defaults(handler=_cmd_bler)
 
     p = subs.add_parser("sweep", help="throughput/energy trade-off table for several codebooks")
@@ -402,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
                    "write a grid that starts below zero as --snr-db=-2:2")
     _add_eval_options(p)
-    _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = subs.add_parser("select", help="pick the best codebook for an operating point")
@@ -412,9 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the prefixes of metrics.SELECTION_RULES, spelled out as the --mode choices are
     p.add_argument("--rule", type=parse_rule, required=True,
                    help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
-    _add_common(p)
     p.set_defaults(handler=_cmd_select)
 
+    for name, p in subs.choices.items():
+        if name in ("design", "bler", "sweep"):
+            p.add_argument("--seed", type=_nonnegative_int, default=0,
+                           help="base RNG seed (default 0)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 

@@ -177,11 +177,6 @@ def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
         yield start, block
 
 
-def min_distance(book: Codebook) -> int:
-    """Minimum pairwise Hamming distance over all distinct codeword pairs."""
-    return book.min_distance
-
-
 def distance_distribution(book: Codebook) -> np.ndarray:
     """B[w] = number of ordered codeword pairs (i, j) at Hamming distance w.
 

@@ -218,13 +218,6 @@ class TestBlerCommand:
                            flag, value], capsys)
         assert f"argument {flag}: expected a positive integer, got {value!r}" in err
 
-    def test_negative_sim_seed_exit_one(self, book_path, capsys):
-        assert main(["bler", "--codebook", book_path, "--snr-db", "0", "--mode", "sim",
-                     "--trials", "1000", "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "error: seed must be a nonnegative integer" in captured.err
-        assert captured.out == ""
-
     def test_theory_on_incomplete_book_exit_one(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])))
@@ -446,11 +439,34 @@ def test_parser_defaults_match_design_config():
     ["design", "-n", "3", "-k", "2", "-d", "1", "--literal-weight"],
     ["sweep", "--codebook", "book.json", "--literal-total"],
     ["select", "--library", "{lib}", "--snr-db", "0", "--rule", "bler<=0.1", "--literal-total"],
+    ["validate", "book.json", "--seed", "5"],
+    ["validate", "book.json", "--threads", "9"],
+    ["oracle", "-n", "6", "-k", "3", "-d", "3", "--seed", "1"],
+    ["oracle", "-n", "6", "-k", "3", "-d", "3", "--threads", "2"],
+    ["select", "--library", "{lib}", "--snr-db", "0", "--rule", "bler<=0.1", "--seed", "1"],
+    ["select", "--library", "{lib}", "--snr-db", "0", "--rule", "bler<=0.1", "--threads", "2"],
+    ["design", "-n", "3", "-k", "2", "-d", "1", "--threads", "2"],
 ])
 def test_removed_reading_flags_are_usage_errors(argv, tmp_path, capsys):
-    """Fitness and energy each have one reading; the flags that chose another are gone."""
+    """Each command takes only the flags its handler reads: fitness and energy
+    each have one reading, and only design, bler and sweep read --seed, only
+    bler and sweep --threads."""
     err = usage_error([a.format(lib=tmp_path) for a in argv], capsys)
-    assert "unrecognized arguments: --literal-" in err
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "-n", "3", "-k", "2", "-d", "1"],
+    ["bler", "--codebook", "book.json", "--snr-db", "0"],
+    ["bler", "--codebook", "book.json", "--snr-db", "0", "--mode", "sim", "--trials", "1000"],
+    ["sweep", "--codebook", "book.json"],
+], ids=["design", "bler-theory", "bler-sim", "sweep"])
+def test_negative_seed_is_usage_error(argv, capsys):
+    """Every command that reads --seed refuses a negative one in argparse, in
+    every mode, theory modes included."""
+    err = usage_error([*argv, "--seed", "-1"], capsys)
+    assert "argument --seed: expected a nonnegative integer, got '-1'" in err
 
 
 class TestImports:

@@ -14,7 +14,6 @@ from hdcode import (
     extend_codebook,
     finalize,
     message_order,
-    min_distance,
     parse_codebook,
     serialize_codebook,
     total_ones,
@@ -43,7 +42,7 @@ class TestCodebook:
         assert book.size_target == 4
         assert book.is_complete
         assert total_ones(book) == 9
-        assert min_distance(book) == 1
+        assert book.min_distance == 1
 
     def test_validate_names_offending_pair(self):
         book = Codebook.from_values(3, 2, 2, [0b000, 0b001, 0b110])
@@ -74,14 +73,14 @@ class TestCodebook:
 
     def test_min_distance_needs_two(self):
         with pytest.raises(ValueError):
-            min_distance(Codebook.from_values(4, 2, 2, [3]))
+            Codebook.from_values(4, 2, 2, [3]).min_distance
 
     @given(codebooks())
     def test_min_distance_matches_naive(self, book):
         naive = min(
             (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
         )
-        assert min_distance(book) == naive
+        assert book.min_distance == naive
 
 
 @st.composite
@@ -296,13 +295,13 @@ class TestDistanceKernel:
             naive = min(
                 (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
             )
-            assert min_distance(book) == naive
+            assert book.min_distance == naive
             assert distance_distribution(book).tolist() == brute_distribution(book)
 
     def test_golay_book_stays_within_memory_bound(self):
         book = extend_codebook(Codebook(23, 12, 7))
         assert book.m == 4096
-        for run in (book.validate, lambda: min_distance(book),
+        for run in (book.validate, lambda: book.min_distance,
                     lambda: distance_distribution(book)):
             tracemalloc.start()
             try:
@@ -313,7 +312,7 @@ class TestDistanceKernel:
             assert peak < 8 << 20
         # the binary Golay code is distance-invariant: every word sees the
         # weight enumerator, so B is 4096 times it
-        assert min_distance(book) == 7
+        assert book.min_distance == 7
         enumerator = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
         expected = [4096 * enumerator.get(w, 0) for w in range(24)]
         assert distance_distribution(book).tolist() == expected
@@ -333,7 +332,7 @@ class TestDistanceDistribution:
         assert dist[3] == dist[4] == 16 * 7
         assert dist[7] == 16
         assert dist.sum() == 16 * 16
-        assert np.flatnonzero(dist[1:])[0] + 1 == 3 == min_distance(book)
+        assert np.flatnonzero(dist[1:])[0] + 1 == 3 == book.min_distance
 
     def test_full_space_is_binomial(self):
         # d=1 admits every length-5 word, and k=5 makes that a complete book

@@ -22,7 +22,6 @@ from hdcode import (
     theoretical_bler_union,
 )
 from hdcode import linksim
-from hdcode.codebook import min_distance
 from hdcode.linksim import ACCEPT_MARGIN, AMPLITUDE, SHARD_SIZE, modulated_matrix
 
 REPETITION_PAIR = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
@@ -35,9 +34,9 @@ ALL_WORDS_8 = Codebook.from_values(8, 8, 1, range(1 << 8))
 ALL_WORDS_12 = Codebook.from_values(12, 12, 1, range(1 << 12))
 
 
-def ml_decode(received, book, params):
+def ml_decode(received, book):
     """One received vector through the shard decoder."""
-    return int(linksim._ml_messages(received[None], modulated_matrix(book, params))[0])
+    return int(linksim._ml_messages(received[None], modulated_matrix(book))[0])
 
 
 def density_decode(received, book, params):
@@ -46,16 +45,16 @@ def density_decode(received, book, params):
     best_index, best_log = 0, -math.inf
     for i, word in enumerate(message_order(book)):
         bits = [(word >> (book.n - 1 - j)) & 1 for j in range(book.n)]
-        mean = np.array(bits, dtype=float) * params.amplitude
+        mean = np.array(bits, dtype=float) * AMPLITUDE
         log_density = float(-np.sum((received - mean) ** 2) / (2.0 * sigma**2))
         if log_density > best_log:
             best_index, best_log = i, log_density
     return best_index
 
 
-def einsum_decode(received, book, params):
+def einsum_decode(received, book):
     """Reference ML rule: the squared Euclidean distance to every codeword."""
-    diffs = modulated_matrix(book, params) - received[None, :]
+    diffs = modulated_matrix(book) - received[None, :]
     return int(np.einsum("mn,mn->m", diffs, diffs).argmin())
 
 
@@ -78,7 +77,7 @@ def complete_books(draw):
     n = draw(st.integers(k, 10))
     values = draw(st.permutations(range(1 << n)))[: 1 << k]
     book = Codebook.from_values(n, k, 1, values)
-    d = draw(st.integers(1, min_distance(book)))
+    d = draw(st.integers(1, book.min_distance))
     return Codebook.from_values(n, k, d, values)
 
 
@@ -102,9 +101,8 @@ class TestChannelParams:
 
     def test_amplitude_and_eb(self):
         """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB."""
-        params = ChannelParams(0.0)
-        assert params.amplitude == math.sqrt(2.0)
-        assert params.n0 == 1.0
+        assert AMPLITUDE == math.sqrt(2.0)
+        assert ChannelParams(0.0).n0 == 1.0
 
 
 class TestQFunction:
@@ -161,24 +159,22 @@ class TestDecode:
         assert message_order(DENSE_3_2)[3] == 0b011
 
     def test_noiseless_round_trip(self):
-        params = ChannelParams(0.0)
-        mod = modulated_matrix(DENSE_3_2, params)
+        mod = modulated_matrix(DENSE_3_2)
         for message in range(4):
-            assert ml_decode(mod[message], DENSE_3_2, params) == message
+            assert ml_decode(mod[message], DENSE_3_2) == message
 
     def test_tie_breaks_to_lowest_index(self):
-        params = ChannelParams(0.0)
-        a = params.amplitude
+        a = AMPLITUDE
         # equidistant from messages 1 (110) and 2 (101) only, since the last
         # two coordinates are equal but not at the halfway point a/2
         received = np.array([a, 0.2 * a, 0.2 * a])
-        assert ml_decode(received, DENSE_3_2, params) == 1
+        assert ml_decode(received, DENSE_3_2) == 1
 
     def test_incomplete_book_rejected(self):
         incomplete = Codebook.from_values(3, 2, 1, [0b111, 0b110])
         expected = "modulation requires exactly 2\\*\\*k = 4 codewords, got 2"
         with pytest.raises(ValueError, match=expected):
-            modulated_matrix(incomplete, ChannelParams(0.0))
+            modulated_matrix(incomplete)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 4.0, 8.0]))
     @settings(max_examples=60)
@@ -186,9 +182,9 @@ class TestDecode:
         params = ChannelParams(snr)
         rng = np.random.default_rng(seed)
         message = int(rng.integers(0, 4))
-        mod = modulated_matrix(EQUIDISTANT_4_2, params)
+        mod = modulated_matrix(EQUIDISTANT_4_2)
         received = mod[message] + rng.normal(0.0, params.noise_sigma, size=4)
-        assert ml_decode(received, EQUIDISTANT_4_2, params) == density_decode(
+        assert ml_decode(received, EQUIDISTANT_4_2) == density_decode(
             received, EQUIDISTANT_4_2, params
         )
 
@@ -197,10 +193,10 @@ class TestDecode:
     def test_matches_einsum_decoder(self, book, snr, seed):
         params = ChannelParams(snr)
         rng = np.random.default_rng(seed)
-        mod = modulated_matrix(book, params)
+        mod = modulated_matrix(book)
         for message in rng.integers(0, book.m, size=8):
             received = mod[message] + rng.normal(0.0, params.noise_sigma, size=book.n)
-            assert ml_decode(received, book, params) == einsum_decode(received, book, params)
+            assert ml_decode(received, book) == einsum_decode(received, book)
 
 
 class TestBlerEstimate:
@@ -252,8 +248,8 @@ class TestSimulateBler:
         sets and at any other in [0, A/2], with delta the measured distance, which
         the drawn books' declared d may fall below."""
         params = ChannelParams(snr)
-        mod = modulated_matrix(book, params)
-        sigma, delta = params.noise_sigma, min_distance(book)
+        mod = modulated_matrix(book)
+        sigma, delta = params.noise_sigma, book.min_distance
         expected = einsum_shard_errors(mod, sigma, book.n, seed, shard_index, count)
         for t in (linksim._clear_threshold(sigma, delta, book.n), threshold):
             errors, decoded = linksim._shard_errors(mod, sigma, delta, t, seed, shard_index, count)
@@ -278,8 +274,24 @@ class TestSimulateBler:
         assert linksim._undecided_rows(noise, 2, AMPLITUDE / 2).tolist() == [0, 1, 2, 3]
         # the rows it clears are ones the decoder gets right (0000 is message
         # 3), the first by a score gap of about A * 1e-9 over 0011
-        mod = modulated_matrix(EQUIDISTANT_4_2, ChannelParams(0.0))
+        mod = modulated_matrix(EQUIDISTANT_4_2)
         assert linksim._ml_messages(noise[[0, 2]] + mod[3], mod).tolist() == [3, 3]
+
+    def test_early_accept_clears_trials_of_a_sparse_book_at_low_snr(self):
+        """At 2 dB a (12, 8, 2) book's uncapped threshold lies above A/2, where
+        no trial clears; the capped one clears some, with the full decode's
+        error count."""
+        words = [(m << 4) | (bin(m).count("1") & 1) << 3 for m in range(1 << 8)]
+        book = Codebook.from_values(12, 8, 2, words)
+        assert book.min_distance == 2
+        params = ChannelParams(2.0)
+        mod, sigma = modulated_matrix(book), params.noise_sigma
+        threshold = linksim._clear_threshold(sigma, 2, 12)
+        assert threshold < AMPLITUDE / 2
+        errors, decoded = linksim._shard_errors(mod, sigma, 2, threshold, 3, 0, SHARD_SIZE)
+        full = linksim._shard_errors(mod, sigma, 2, AMPLITUDE / 2, 3, 0, SHARD_SIZE)
+        assert decoded < SHARD_SIZE
+        assert full == (errors, SHARD_SIZE)
 
     def test_book_below_its_declared_d_gets_the_full_decode_count(self):
         """Codebook does not enforce d: a book declared at d = 3 whose words lie
@@ -288,7 +300,7 @@ class TestSimulateBler:
         trials = SHARD_SIZE + 300
         for snr in (0.0, 4.0, 8.0):
             params = ChannelParams(snr)
-            mod = modulated_matrix(book, params)
+            mod = modulated_matrix(book)
             full = einsum_shard_errors(mod, params.noise_sigma, 4, 5, 0, SHARD_SIZE)
             full += einsum_shard_errors(mod, params.noise_sigma, 4, 5, 1, 300)
             assert simulate_bler(book, params, trials, seed=5).errors == full > 0

@@ -15,7 +15,6 @@ from hdcode import (
     genetic_local_search,
     initial_population,
     local_search,
-    min_distance,
     positions_to_mask,
     recombination,
     recombine_pair,
@@ -161,7 +160,7 @@ class TestExtend:
     def test_greedy_scan_finds_hamming_size(self):
         book = extend_codebook(Codebook(n=7, k=4, d=3))
         assert book.m == 16
-        assert min_distance(book) == 3
+        assert book.min_distance == 3
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -778,7 +777,7 @@ class TestGeneticLocalSearch:
         book = designed_books[(10, 4, 3)]
         assert book.m == 16
         book.validate()
-        assert min_distance(book) >= 3
+        assert book.min_distance >= 3
 
     def test_deterministic_for_seed(self):
         a = genetic_local_search(5, 2, 2, DesignConfig(seed=13))
