@@ -12,6 +12,7 @@ import argparse
 from pathlib import Path
 
 from hdcode import DesignConfig, genetic_local_search, serialize_codebook
+from hdcode.cli import _nonnegative_int, _positive_int
 
 FAMILY = [
     (10, 3, 3),
@@ -36,8 +37,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results/codebooks",
                         help="directory for the codebook JSON files")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument("--attempts", type=int, default=5,
+    parser.add_argument("--seed", type=_nonnegative_int, default=0, help="base seed (default 0)")
+    parser.add_argument("--attempts", type=_positive_int, default=5,
                         help="seeds to try per case before giving up (default 5)")
     args = parser.parse_args(argv)
 

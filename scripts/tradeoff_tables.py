@@ -19,7 +19,7 @@ import argparse
 import shutil
 from pathlib import Path
 
-from hdcode.cli import main as hdcode_main
+from hdcode.cli import _nonnegative_int, _positive_int, main as hdcode_main
 from hdcode.metrics import BLER_MODES
 
 EXAMPLE_RULES = [
@@ -40,9 +40,9 @@ def main(argv=None) -> int:
     parser.add_argument("--modes", nargs="+", default=["theory-dominant", "theory-union"],
                         choices=BLER_MODES,
                         help="BLER modes to tabulate; the first is swept and fills the library")
-    parser.add_argument("--trials", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--trials", type=_positive_int, default=100_000)
+    parser.add_argument("--seed", type=_nonnegative_int, default=0)
+    parser.add_argument("--threads", type=_positive_int, default=4)
     args = parser.parse_args(argv)
 
     books = sorted(Path(args.books).glob("*.json"))

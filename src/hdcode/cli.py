@@ -112,7 +112,7 @@ def parse_rule(text: str) -> SelectionRule:
 
 
 def _nonnegative_int(text: str) -> int:
-    """Parse `--seed`, in every command and mode that reads it."""
+    """Parse `--seed`, in every command, mode and experiment script that reads it."""
     try:
         value = int(text)
     except ValueError:
@@ -123,7 +123,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Parse `--threads` and `--trials`, whichever mode or command reads them."""
+    """Parse `--threads`, `--trials` and the scripts' `--attempts`, wherever they are read."""
     try:
         value = int(text)
     except ValueError:

@@ -20,7 +20,12 @@ from .linksim import (
 MODE_THEORY_DOMINANT = "theory-dominant"
 MODE_THEORY_UNION = "theory-union"
 MODE_SIM = "sim"
-BLER_MODES = (MODE_THEORY_DOMINANT, MODE_THEORY_UNION, MODE_SIM)
+# the closed-form BLER of each theory mode, from a distance distribution
+_THEORY_BLER = {
+    MODE_THEORY_DOMINANT: theoretical_bler_dominant,
+    MODE_THEORY_UNION: theoretical_bler_union,
+}
+BLER_MODES = (*_THEORY_BLER, MODE_SIM)
 
 DEFAULT_TRIALS = 100_000
 
@@ -133,10 +138,8 @@ def energy_metrics(book: Codebook) -> EnergyMetrics:
     return EnergyMetrics(avg_weight=avg, energy_per_bit=avg / book.k, energy_per_time=avg / book.n)
 
 
-def _point_seed(seed: int, *key: int) -> int:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    ss = np.random.SeedSequence([seed, *key])
+def _point_seed(seed: int, index: int) -> int:
+    ss = np.random.SeedSequence([seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -148,41 +151,6 @@ def _sorted_grid(snr_grid: Sequence[float]) -> list[float]:
         if lo == hi:
             raise ValueError(f"snr_grid repeats the point {lo} dB")
     return grid
-
-
-def _bler_rows(
-    book: Codebook,
-    grid: list[float],
-    mode: str,
-    trials: int,
-    seed: int,
-    key: tuple[int, ...],
-    threads: int,
-) -> tuple[BlerRow, ...]:
-    """BLER of one codebook at each point of a sorted SNR grid, under one mode.
-
-    Under sim, point i draws from the seed derived from (seed, *key, i), and
-    `threads` run its shards.  The theory modes read one distance distribution
-    of the codebook and need no seed, and so never import numpy.random.
-    """
-    if mode == MODE_SIM:
-        rows = []
-        for i, snr in enumerate(grid):
-            params = ChannelParams(ebn0_db=snr)
-            est = simulate_bler(book, params, trials, _point_seed(seed, *key, i), threads)
-            rows.append(BlerRow(snr, est.point, est.ci95_halfwidth, est.trials))
-        return tuple(rows)
-    if mode == MODE_THEORY_DOMINANT:
-        formula = theoretical_bler_dominant
-    elif mode == MODE_THEORY_UNION:
-        formula = theoretical_bler_union
-    else:
-        raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
-    book.require_size_target("theory BLER")
-    distribution = distance_distribution(book)
-    return tuple(
-        BlerRow(snr, formula(distribution, ChannelParams(ebn0_db=snr)), 0.0, 0) for snr in grid
-    )
 
 
 def _records(book: Codebook, codebook_id: str, rows: Sequence[BlerRow]) -> list[SweepRecord]:
@@ -216,11 +184,34 @@ def bler_table(
 ) -> BlerTable:
     """Evaluate one codebook across an SNR grid.
 
-    Simulation points get independent seeds derived from (seed, point index),
-    so the table is reproducible and insensitive to evaluation order.
+    Under sim, point i of the sorted grid draws from the seed derived from
+    (seed, i), and `threads` run its shards, so the table is reproducible and
+    the same for any thread count.  The theory modes read one distance
+    distribution of the codebook and need no seed, and so never import
+    numpy.random.
     """
-    rows = _bler_rows(book, _sorted_grid(snr_grid), mode, trials, seed, (), threads)
-    return BlerTable(codebook_id=codebook_id, mode=mode, rows=rows)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    grid = _sorted_grid(snr_grid)
+    if mode == MODE_SIM:
+        rows = []
+        for i, snr in enumerate(grid):
+            params = ChannelParams(ebn0_db=snr)
+            est = simulate_bler(book, params, trials, _point_seed(seed, i), threads)
+            rows.append(BlerRow(snr, est.point, est.ci95_halfwidth, est.trials))
+    elif mode in _THEORY_BLER:
+        formula = _THEORY_BLER[mode]
+        book.require_size_target("theory BLER")
+        distribution = distance_distribution(book)
+        rows = [BlerRow(snr, formula(distribution, ChannelParams(ebn0_db=snr)), 0.0, 0)
+                for snr in grid]
+    else:
+        raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
+    return BlerTable(codebook_id=codebook_id, mode=mode, rows=tuple(rows))
 
 
 def tradeoff_sweep(
@@ -234,8 +225,10 @@ def tradeoff_sweep(
 ) -> list[SweepRecord]:
     """Cross every codebook with every SNR point.
 
-    Records are ordered by (codebook position, SNR).  Simulation points get
-    seeds derived from (seed, codebook position, point index).
+    Records are ordered by (codebook position, SNR).  A codebook's records
+    come from its `bler_table` at the same grid, mode, trials and seed, so
+    they do not depend on the other codebooks, and two codebooks of equal
+    (n, k) share their Monte Carlo draws.
     """
     if not codebooks:
         raise ValueError("no codebooks given")
@@ -245,12 +238,11 @@ def tradeoff_sweep(
         raise ValueError("ids must match codebooks one to one")
     if len(set(ids)) != len(ids):
         raise ValueError("codebook ids must be distinct")
-    grid = _sorted_grid(snr_grid)
 
     records = []
-    for bi, book in enumerate(codebooks):
-        rows = _bler_rows(book, grid, mode, trials, seed, (bi,), threads)
-        records.extend(_records(book, ids[bi], rows))
+    for book, codebook_id in zip(codebooks, ids):
+        table = bler_table(book, snr_grid, mode, trials, seed, threads)
+        records.extend(_records(book, codebook_id, table.rows))
     return records
 
 

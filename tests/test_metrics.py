@@ -28,6 +28,11 @@ INCOMPLETE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])
 THEORY_MODES = [MODE_THEORY_DOMINANT, MODE_THEORY_UNION]
 ALL_MODES = [*THEORY_MODES, MODE_SIM]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+BAD_EVALUATION = [
+    pytest.param({"seed": -1}, "seed must be a nonnegative integer", id="seed"),
+    pytest.param({"trials": 0}, "trials must be >= 1", id="trials"),
+    pytest.param({"threads": 0}, "threads must be >= 1", id="threads"),
+]
 
 
 def table(codebook_id, points):
@@ -100,6 +105,13 @@ class TestBlerTable:
         with pytest.raises(ValueError):
             bler_table(DENSE, [0.0], mode="guess")
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("bad, message", BAD_EVALUATION)
+    def test_refuses_bad_seed_trials_threads(self, mode, bad, message):
+        """The theory modes read none of the three, but refuse them as sim does."""
+        with pytest.raises(ValueError, match=message):
+            bler_table(DENSE, [0.0], mode=mode, **{"trials": 1_000, **bad})
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             bler_table(DENSE, [])
@@ -159,13 +171,23 @@ class TestTradeoffSweep:
         b = tradeoff_sweep([DENSE, SPARSE], [2.0], threads=4, **kwargs)
         assert a == b
 
-    def test_sim_refuses_zero_threads(self):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            tradeoff_sweep([DENSE], [0.0], mode=MODE_SIM, trials=1_000, threads=0)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("bad, message", BAD_EVALUATION)
+    def test_refuses_bad_seed_trials_threads(self, mode, bad, message):
+        with pytest.raises(ValueError, match=message):
+            tradeoff_sweep([DENSE], [0.0], mode=mode, **{"trials": 1_000, **bad})
 
-    def test_sim_refuses_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            tradeoff_sweep([DENSE], [0.0], mode=MODE_SIM, trials=1_000, seed=-1)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_book_records_are_its_bler_table(self, mode):
+        """A book's records are its bler rows, whatever else the sweep holds,
+        so the two copies of DENSE get the same draws and the same records."""
+        grid = [4.0, 0.0, 2.0]
+        kwargs = dict(mode=mode, trials=3_000, seed=5)
+        records = tradeoff_sweep([SPARSE, DENSE, DENSE], grid, ids=["s", "d1", "d2"], **kwargs)
+        for codebook_id, book in (("s", SPARSE), ("d1", DENSE), ("d2", DENSE)):
+            rows = bler_table(book, grid, **kwargs).rows
+            mine = [r for r in records if r.codebook_id == codebook_id]
+            assert [(r.snr_db, r.bler) for r in mine] == [(row.snr_db, row.bler) for row in rows]
 
     def test_default_ids_are_distinct(self):
         records = tradeoff_sweep([DENSE, SPARSE], [0.0])
@@ -276,32 +298,34 @@ class TestSelectCodebook:
             assert record.snr_db == row_snr
 
     def test_record_is_the_sweep_record(self):
-        """select judges each book by the very record tradeoff_sweep gives it."""
+        """select judges each book by the very record tradeoff_sweep gives it,
+        in a theory mode and under Monte Carlo alike."""
         grid = [0.0, 2.0, 4.0, 6.0, 8.0]
         books = {"dense": DENSE, "sparse": SPARSE}
-        library = [(book, bler_table(book, grid, mode=MODE_THEORY_UNION, codebook_id=cid))
-                   for cid, book in books.items()]
-        records = tradeoff_sweep(list(books.values()), grid, mode=MODE_THEORY_UNION,
-                                 ids=list(books))
-        sweep = {(r.codebook_id, r.snr_db): r for r in records}
         thresholds = {
             "min-energy-per-time": (0.0, 0.6, 0.9),
             "min-throughput": (0.1, 0.5, 0.65),
             "max-bler": (1.0, 0.1, 1e-3),
         }
         assert set(thresholds) == set(SELECTION_RULES)
-        picked = set()
-        for kind, levels in thresholds.items():
-            for threshold in levels:
-                for snr in grid:
-                    chosen = select_codebook(library, snr, SelectionRule(kind, threshold))
-                    if chosen is None:
-                        continue
-                    book, record = chosen
-                    assert record == sweep[(record.codebook_id, snr)]
-                    assert book is books[record.codebook_id]
-                    picked.add(record.codebook_id)
-        assert picked == set(books)
+        for mode in (MODE_THEORY_UNION, MODE_SIM):
+            kwargs = dict(mode=mode, trials=2_000, seed=3)
+            library = [(book, bler_table(book, grid, codebook_id=cid, **kwargs))
+                       for cid, book in books.items()]
+            records = tradeoff_sweep(list(books.values()), grid, ids=list(books), **kwargs)
+            sweep = {(r.codebook_id, r.snr_db): r for r in records}
+            picked = set()
+            for kind, levels in thresholds.items():
+                for threshold in levels:
+                    for snr in grid:
+                        chosen = select_codebook(library, snr, SelectionRule(kind, threshold))
+                        if chosen is None:
+                            continue
+                        book, record = chosen
+                        assert record == sweep[(record.codebook_id, snr)], mode
+                        assert book is books[record.codebook_id]
+                        picked.add(record.codebook_id)
+            assert picked == set(books), mode
 
     def test_out_of_range_snr_rejected(self):
         rule = SelectionRule(kind="max-bler", threshold=1.0)
