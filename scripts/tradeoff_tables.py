@@ -19,7 +19,7 @@ import argparse
 import shutil
 from pathlib import Path
 
-from hdcode.cli import _nonnegative_int, _positive_int, main as hdcode_main
+from hdcode.cli import _nonnegative_int, _positive_int, main as hdcode_main, parse_snr_grid
 from hdcode.metrics import BLER_MODES
 
 EXAMPLE_RULES = [
@@ -29,13 +29,19 @@ EXAMPLE_RULES = [
 ]
 
 
+def _snr_grid_text(text: str) -> str:
+    """Check an SNR grid as `hdcode bler` does, and keep the text as typed."""
+    parse_snr_grid(text)
+    return text
+
+
 def main(argv=None) -> int:
     # no abbreviations, so the removed --mode is refused rather than read as --modes
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--books", default="results/codebooks",
                         help="directory of codebook JSON files")
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--snr-db", default="0:8:0.5",
+    parser.add_argument("--snr-db", type=_snr_grid_text, default="0:8:0.5",
                         help="grid as '0,1,2' or 'start:stop[:step]' (default 0:8:0.5)")
     parser.add_argument("--modes", nargs="+", default=["theory-dominant", "theory-union"],
                         choices=BLER_MODES,

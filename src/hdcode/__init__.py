@@ -15,7 +15,7 @@ _EXPORTS = {
         "save_codebook", "serialize_codebook", "total_ones",
     ),
     "linksim": (
-        "BlerEstimate", "ChannelParams", "q_function", "simulate_bler",
+        "ChannelParams", "q_function", "simulate_bler",
         "theoretical_bler_dominant", "theoretical_bler_union",
     ),
     "metrics": (

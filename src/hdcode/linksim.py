@@ -1,7 +1,7 @@
 """On-off keying over AWGN: modulation, soft ML decoding, and BLER.
 
 Monte Carlo runs are sharded into fixed-size blocks, each with its own
-counter-keyed generator, so the estimate is a pure function of (codebook,
+counter-keyed generator, so the error count is a pure function of (codebook,
 channel, trials, seed) no matter how many threads execute the shards.  A
 shard decodes only the trials whose noise alone cannot prove the decision
 right (see _undecided_rows).
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, message_order
+from .codebook import MAX_N, Codebook, message_order
 
 SHARD_SIZE = 1 << 14
 
@@ -37,18 +37,25 @@ SCORE_BUDGET_BYTES = 1 << 18
 # dominates the float64 rounding of the test and of the decoder's scores.
 ACCEPT_MARGIN = 1e-9
 
+# The largest |Eb/N0| in whole dB, 3068, at which every evaluation stays finite:
+# the union bound takes sqrt(distance * Eb/N0) for distances up to MAX_N, and
+# the noise variance is N0 / 2 = 1 / (2 Eb/N0).
+MAX_ABS_EBN0_DB = float(math.floor(10.0 * math.log10(np.finfo(np.float64).max / MAX_N)))
+
 logger = logging.getLogger("hdcode.linksim")
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """AWGN channel at a given finite Eb/N0 with Eb = 1; a 1-bit is sent at AMPLITUDE."""
+    """AWGN channel at an Eb/N0 within MAX_ABS_EBN0_DB dB of 0 dB, with Eb = 1;
+    a 1-bit is sent at AMPLITUDE."""
 
     ebn0_db: float
 
     def __post_init__(self):
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        if not abs(self.ebn0_db) <= MAX_ABS_EBN0_DB:
+            limit = f"[-{MAX_ABS_EBN0_DB:g}, {MAX_ABS_EBN0_DB:g}] dB"
+            raise ValueError(f"ebn0_db must be finite and lie in {limit}, got {self.ebn0_db}")
 
     @property
     def ebn0(self) -> float:
@@ -61,31 +68,6 @@ class ChannelParams:
     @property
     def noise_sigma(self) -> float:
         return math.sqrt(self.n0 / 2.0)
-
-
-@dataclass(frozen=True)
-class BlerEstimate:
-    """Monte Carlo block error rate with a 95% interval half-width.
-
-    The point estimate is exactly errors/trials.  The half-width uses the
-    rule-of-succession proportion (errors+1)/(trials+2) inside the normal
-    approximation so it stays positive when no errors were observed.
-    """
-
-    point: float
-    trials: int
-    errors: int
-    ci95_halfwidth: float
-
-    @classmethod
-    def from_counts(cls, errors: int, trials: int) -> "BlerEstimate":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= errors <= trials:
-            raise ValueError("errors must lie in [0, trials]")
-        smoothed = (errors + 1) / (trials + 2)
-        half = 1.96 * math.sqrt(smoothed * (1.0 - smoothed) / trials)
-        return cls(point=errors / trials, trials=trials, errors=errors, ci95_halfwidth=half)
 
 
 def q_function(x):
@@ -200,12 +182,14 @@ def _shard_errors(
 
 def simulate_bler(
     book: Codebook, params: ChannelParams, trials: int, seed: int, threads: int = 1
-) -> BlerEstimate:
-    """Estimate BLER over uniform messages by sharded Monte Carlo.
+) -> int:
+    """Block errors of ML decoding over `trials` uniform messages, by sharded Monte Carlo.
 
-    Shard i of SHARD_SIZE trials draws from a Philox generator keyed
-    (seed, i), so results are identical for any thread count.  The seed is
-    one 64-bit key word, so it must lie in [0, 2**64).
+    Shard i of SHARD_SIZE trials (the last may be short) draws from a Philox
+    generator keyed (seed, i).  Thread j of `threads`, capped at the shard
+    count, runs shards j, j + threads, ... and sums their counts, so the
+    result is the same for any thread count.  The seed is one 64-bit key
+    word, so it must lie in [0, 2**64).
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
@@ -217,30 +201,30 @@ def simulate_bler(
     sigma = params.noise_sigma
     delta = book.min_distance
     threshold = _clear_threshold(sigma, delta, book.n)
-    shards = [
-        (idx, min(SHARD_SIZE, trials - start))
-        for idx, start in enumerate(range(0, trials, SHARD_SIZE))
-    ]
+    shards = -(-trials // SHARD_SIZE)
+    threads = min(threads, shards)
 
-    def run(shard: tuple[int, int]) -> tuple[int, int]:
-        idx, count = shard
-        return _shard_errors(mod, sigma, delta, threshold, seed, idx, count)
+    def run(first: int) -> tuple[int, int]:
+        errors = decoded = 0
+        for i in range(first, shards, threads):
+            count = min(SHARD_SIZE, trials - i * SHARD_SIZE)
+            errs, hard = _shard_errors(mod, sigma, delta, threshold, seed, i, count)
+            errors, decoded = errors + errs, decoded + hard
+        return errors, decoded
 
     start = time.perf_counter()
-    if threads == 1 or len(shards) == 1:
-        counts = [run(s) for s in shards]
+    if threads == 1:
+        errors, decoded = run(0)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run, shards))
+            errors, decoded = map(sum, zip(*pool.map(run, range(threads))))
     seconds = time.perf_counter() - start
-    errors = sum(e for e, _ in counts)
-    decoded = sum(h for _, h in counts)
     logger.debug(
         "simulated %d trials in %d shards on %d threads: %.3f s, %.0f trials/s; "
         "%d decoded, %d cleared by the noise test",
-        trials, len(shards), threads, seconds, trials / seconds, decoded, trials - decoded,
+        trials, shards, threads, seconds, trials / seconds, decoded, trials - decoded,
     )
-    return BlerEstimate.from_counts(errors, trials)
+    return errors
 
 
 def theoretical_bler_dominant(distribution: np.ndarray, params: ChannelParams) -> float:

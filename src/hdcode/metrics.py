@@ -60,10 +60,25 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class BlerRow:
+    """One point of a BLER table; a theory row has ci95 and trials 0."""
+
     snr_db: float
     bler: float
     ci95: float
     trials: int
+
+    @classmethod
+    def from_counts(cls, snr_db: float, errors: int, trials: int) -> "BlerRow":
+        """The Monte Carlo row of `errors` block errors in `trials`: the BLER is exactly
+        errors/trials, and the 95% half-width puts the rule-of-succession proportion
+        (errors+1)/(trials+2) in the normal approximation, so it stays positive at 0 errors."""
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not 0 <= errors <= trials:
+            raise ValueError("errors must lie in [0, trials]")
+        smoothed = (errors + 1) / (trials + 2)
+        half = 1.96 * math.sqrt(smoothed * (1.0 - smoothed) / trials)
+        return cls(snr_db, errors / trials, half, trials)
 
 
 @dataclass(frozen=True)
@@ -188,7 +203,7 @@ def bler_table(
     (seed, i), and `threads` run its shards, so the table is reproducible and
     the same for any thread count.  The theory modes read one distance
     distribution of the codebook and need no seed, and so never import
-    numpy.random.
+    numpy.random.  ChannelParams checks every point before any is evaluated.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -196,19 +211,16 @@ def bler_table(
         raise ValueError("trials must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    grid = _sorted_grid(snr_grid)
+    channels = [ChannelParams(ebn0_db=snr) for snr in _sorted_grid(snr_grid)]
     if mode == MODE_SIM:
-        rows = []
-        for i, snr in enumerate(grid):
-            params = ChannelParams(ebn0_db=snr)
-            est = simulate_bler(book, params, trials, _point_seed(seed, i), threads)
-            rows.append(BlerRow(snr, est.point, est.ci95_halfwidth, est.trials))
+        errors = [simulate_bler(book, ch, trials, _point_seed(seed, i), threads)
+                  for i, ch in enumerate(channels)]
+        rows = [BlerRow.from_counts(ch.ebn0_db, e, trials) for ch, e in zip(channels, errors)]
     elif mode in _THEORY_BLER:
         formula = _THEORY_BLER[mode]
         book.require_size_target("theory BLER")
         distribution = distance_distribution(book)
-        rows = [BlerRow(snr, formula(distribution, ChannelParams(ebn0_db=snr)), 0.0, 0)
-                for snr in grid]
+        rows = [BlerRow(ch.ebn0_db, formula(distribution, ch), 0.0, 0) for ch in channels]
     else:
         raise ValueError(f"mode must be one of {BLER_MODES}, got {mode!r}")
     return BlerTable(codebook_id=codebook_id, mode=mode, rows=tuple(rows))

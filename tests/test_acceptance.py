@@ -29,6 +29,7 @@ from hdcode import (
     theoretical_bler_union,
     throughput,
 )
+from hdcode.metrics import BlerRow
 from hdcode.search import DesignConfig, _stream
 
 
@@ -122,8 +123,9 @@ def test_criterion_4_repetition_pair_exactness():
     for index, snr in enumerate([0.0, 1.0, 2.0, 3.0, 4.0]):
         params = ChannelParams(snr)
         expected = float(q_function(math.sqrt(10.0 * params.ebn0)))
-        estimate = simulate_bler(book, params, 10**6, seed=1000 + index, threads=4)
-        if abs(estimate.point - expected) > 3 * estimate.ci95_halfwidth:
+        errors = simulate_bler(book, params, 10**6, seed=1000 + index, threads=4)
+        estimate = BlerRow.from_counts(snr, errors, 10**6)
+        if abs(estimate.bler - expected) > 3 * estimate.ci95:
             failures.append(snr)
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60.0
@@ -147,15 +149,16 @@ def test_criterion_5_theory_vs_simulation(designed_books):
         dist = distance_distribution(book)
         for index, snr in enumerate(range(0, 9)):
             params = ChannelParams(float(snr))
-            estimate = simulate_bler(book, params, 10**6, seed=5000 + 100 * d + index, threads=4)
+            errors = simulate_bler(book, params, 10**6, seed=5000 + 100 * d + index, threads=4)
+            estimate = BlerRow.from_counts(float(snr), errors, 10**6)
             dominant = theoretical_bler_dominant(dist, params)
             union = theoretical_bler_union(dist, params)
-            if 1e-4 <= estimate.point <= 1e-1:
+            if 1e-4 <= estimate.bler <= 1e-1:
                 in_band += 1
                 worst_factor = max(
-                    worst_factor, estimate.point / dominant, dominant / estimate.point
+                    worst_factor, estimate.bler / dominant, dominant / estimate.bler
                 )
-            if estimate.point > union + 3 * estimate.ci95_halfwidth:
+            if estimate.bler > union + 3 * estimate.ci95:
                 union_violations += 1
         elapsed = time.monotonic() - start
         family_ok = worst_factor <= 2.0 and union_violations == 0 and elapsed < 300.0

@@ -22,6 +22,10 @@ def run_cli(*args, env=None):
     )
 
 
+# finite SNRs in dB past the +-3068 dB that the channel accepts
+EXTREME_SNR = ["3082", "3083", "3100", "1e308", "-3300", "-1e308"]
+
+
 def usage_error(argv, capsys):
     """Run main on a command line that argparse refuses; return its stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -218,6 +222,17 @@ class TestBlerCommand:
                            flag, value], capsys)
         assert f"argument {flag}: expected a positive integer, got {value!r}" in err
 
+    @pytest.mark.parametrize("mode", metrics.BLER_MODES)
+    def test_extreme_snr_exit_one(self, book_path, capsys, mode):
+        """A finite SNR whose Eb/N0 or N0 overflows a double is refused, not a traceback."""
+        for snr in EXTREME_SNR:
+            assert main(["bler", "--codebook", book_path, f"--snr-db={snr}", "--mode", mode,
+                         "--trials", "1000"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: ebn0_db must be finite and lie in [-3068, 3068] dB, "
+                                    f"got {float(snr)}\n")
+
     def test_theory_on_incomplete_book_exit_one(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])))
@@ -244,6 +259,17 @@ class TestSweepCommand:
         assert lines[0] == header
         assert len(lines) == 1 + 2 * 3
         assert lines[1].startswith("n3k2d1,3,2,1,0.0,")
+
+    @pytest.mark.parametrize("mode", metrics.BLER_MODES)
+    def test_extreme_snr_exit_one(self, tmp_path, capsys, mode):
+        book = tmp_path / "book.json"
+        book.write_text(serialize_codebook(Codebook.from_values(3, 1, 3, [0b000, 0b111])))
+        for snr in EXTREME_SNR:
+            assert main(["sweep", "--codebook", str(book), f"--snr-db=0,{snr}", "--mode", mode,
+                         "--trials", "1000"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: ebn0_db must be finite and lie in [-3068, 3068] dB" in captured.err
 
 
 class TestSelectCommand:

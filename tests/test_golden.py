@@ -1,5 +1,5 @@
 """Golden outputs for fixed seeds: a refactor of the codebook or search layers
-must reproduce these reports and simulation counts exactly.
+must reproduce these reports, simulation counts and sim rows exactly.
 
 Weight histories are stored run-length encoded as (fitness, generations).
 """
@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from hdcode import ChannelParams, Codebook, serialize_codebook, simulate_bler
+from hdcode import ChannelParams, Codebook, bler_table, serialize_codebook, simulate_bler
 from hdcode.search import DesignConfig, genetic_local_search
 
 DESIGN_GOLDEN = [
@@ -46,6 +46,10 @@ BITSET_DESIGN_GOLDEN = [
 SIM_BOOK = (7, 3, 3, [0b0000000, 0b1110000, 0b1001100, 0b0111100,
                       0b0101010, 0b1011010, 0b1100110, 0b0010110])
 SIM_GOLDEN = [(0.0, 6011), (2.0, 2261), (4.0, 510)]
+# the (snr_db, bler, ci95) rows of its sim bler_table at 40000 trials, seed 7
+SIM_TABLE_GOLDEN = [(0.0, 0.150925, 0.003508329220246769),
+                    (2.0, 0.056525, 0.0022635579547979966),
+                    (4.0, 0.01265, 0.0010962747439802786)]
 
 
 def check_report(report, ones, generations, history, digest):
@@ -74,5 +78,13 @@ def test_bitset_design_report_pinned(instance, seed, ones, generations, history,
 @pytest.mark.parametrize("snr_db, errors", SIM_GOLDEN)
 def test_simulation_errors_pinned(snr_db, errors):
     book = Codebook.from_values(*SIM_BOOK)
-    estimate = simulate_bler(book, ChannelParams(snr_db), trials=40000, seed=7)
-    assert estimate.errors == errors
+    assert simulate_bler(book, ChannelParams(snr_db), trials=40000, seed=7) == errors
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sim_table_floats_pinned(threads):
+    """Every bit of each row's BLER and interval, not only its error count."""
+    book = Codebook.from_values(*SIM_BOOK)
+    table = bler_table(book, [0, 2, 4], mode="sim", trials=40000, seed=7, threads=threads)
+    assert [(r.snr_db, r.bler, r.ci95) for r in table.rows] == SIM_TABLE_GOLDEN
+    assert all(r.trials == 40000 for r in table.rows)

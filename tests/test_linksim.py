@@ -4,13 +4,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hdcode import (
-    BlerEstimate,
+    MAX_N,
     ChannelParams,
     Codebook,
     distance_distribution,
@@ -22,7 +23,10 @@ from hdcode import (
     theoretical_bler_union,
 )
 from hdcode import linksim
-from hdcode.linksim import ACCEPT_MARGIN, AMPLITUDE, SHARD_SIZE, modulated_matrix
+from hdcode.linksim import (
+    ACCEPT_MARGIN, AMPLITUDE, MAX_ABS_EBN0_DB, SHARD_SIZE, modulated_matrix,
+)
+from hdcode.metrics import BlerRow
 
 REPETITION_PAIR = Codebook.from_values(10, 1, 10, [0, (1 << 10) - 1])
 DENSE_3_2 = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
@@ -32,6 +36,8 @@ EQUIDISTANT_4_2 = Codebook.from_values(4, 2, 2, [0b0000, 0b0011, 0b0101, 0b0110]
 ALL_WORDS_5 = Codebook.from_values(5, 5, 1, range(1 << 5))
 ALL_WORDS_8 = Codebook.from_values(8, 8, 1, range(1 << 8))
 ALL_WORDS_12 = Codebook.from_values(12, 12, 1, range(1 << 12))
+# finite Eb/N0 values in dB that overflowed, divided by zero or warned somewhere
+EXTREME_EBN0_DB = [3082.0, 3083.0, 3100.0, 1e308, -3300.0, -1e308]
 
 
 def ml_decode(received, book):
@@ -98,6 +104,26 @@ class TestChannelParams:
         """No channel is built at a non-finite Eb/N0, so no simulation runs at one."""
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
             simulate_bler(DENSE_3_2, ChannelParams(ebn0_db), 100, seed=1)
+
+    @pytest.mark.parametrize("ebn0_db", EXTREME_EBN0_DB)
+    def test_extreme_ebn0_refused(self, ebn0_db):
+        """Past 3068 dB either way, 24 * Eb/N0 or N0 would overflow a double."""
+        expected = f"ebn0_db must be finite and lie in [-3068, 3068] dB, got {ebn0_db}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            ChannelParams(ebn0_db)
+
+    @pytest.mark.parametrize("ebn0_db", [-MAX_ABS_EBN0_DB, MAX_ABS_EBN0_DB])
+    def test_extreme_accepted_ebn0_evaluates_without_warning(self, ebn0_db):
+        """At the limits, with the longest words, every BLER is a probability and no
+        float operation warns."""
+        book = Codebook.from_values(MAX_N, 1, MAX_N, [0, (1 << MAX_N) - 1])
+        dist = distance_distribution(book)
+        params = ChannelParams(ebn0_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [theoretical_bler_dominant(dist, params), theoretical_bler_union(dist, params),
+                      simulate_bler(book, params, 1_000, seed=1) / 1_000]
+        assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_amplitude_and_eb(self):
         """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB."""
@@ -199,27 +225,6 @@ class TestDecode:
             assert ml_decode(received, book) == einsum_decode(received, book)
 
 
-class TestBlerEstimate:
-    def test_point_is_exact_ratio(self):
-        est = BlerEstimate.from_counts(3, 1000)
-        assert est.point == 3 / 1000
-        assert est.errors == 3
-        assert est.trials == 1000
-
-    def test_interval_positive_at_zero_errors(self):
-        est = BlerEstimate.from_counts(0, 10**6)
-        assert est.point == 0.0
-        assert est.ci95_halfwidth > 0
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            BlerEstimate.from_counts(5, 4)
-        with pytest.raises(ValueError):
-            BlerEstimate.from_counts(-1, 4)
-        with pytest.raises(ValueError):
-            BlerEstimate.from_counts(0, 0)
-
-
 class TestSimulateBler:
     def test_thread_count_does_not_change_result(self):
         params = ChannelParams(0.0)
@@ -236,7 +241,7 @@ class TestSimulateBler:
         single = simulate_bler(book, params, trials, seed=8, threads=1)
         pooled = simulate_bler(book, params, trials, seed=8, threads=4)
         assert single == pooled
-        assert 0 < single.errors < trials
+        assert 0 < single < trials
 
     @given(complete_books(), st.floats(-20.0, 30.0), st.integers(0, 2**64 - 1),
            st.integers(0, 1000), st.integers(1, 300), st.floats(0.0, AMPLITUDE / 2))
@@ -303,7 +308,7 @@ class TestSimulateBler:
             mod = modulated_matrix(book)
             full = einsum_shard_errors(mod, params.noise_sigma, 4, 5, 0, SHARD_SIZE)
             full += einsum_shard_errors(mod, params.noise_sigma, 4, 5, 1, 300)
-            assert simulate_bler(book, params, trials, seed=5).errors == full > 0
+            assert simulate_bler(book, params, trials, seed=5) == full > 0
 
     def test_shard_memory_is_bounded(self):
         # the einsum decoder built a (SHARD_SIZE, 4096, 12) float64 tensor
@@ -319,6 +324,33 @@ class TestSimulateBler:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shard_bookkeeping_is_bounded(self, monkeypatch, threads):
+        """A billion trials run each of their 61,036 shards once, and the loop
+        around the shards keeps no per-shard list or future: under a stub
+        shard it peaks below 1 MiB on one thread and on two."""
+        trials = 10**9
+        shards = -(-trials // SHARD_SIZE)
+        calls = np.zeros(shards, dtype=np.int64)
+        counts = np.zeros(shards, dtype=np.int64)
+
+        def stub(mod, sigma, delta, threshold, seed, shard_index, count):
+            calls[shard_index] += 1
+            counts[shard_index] = count
+            return 0, 0
+
+        monkeypatch.setattr(linksim, "_shard_errors", stub)
+        tracemalloc.start()
+        try:
+            assert simulate_bler(DENSE_3_2, ChannelParams(4.0), trials, seed=1, threads=threads) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert shards == 61_036
+        assert (calls == 1).all()
+        assert (counts[:-1] == SHARD_SIZE).all() and counts[-1] == 2_560
 
     def test_row_blocks_do_not_change_result(self, monkeypatch):
         params = ChannelParams(4.0)
@@ -346,7 +378,7 @@ class TestSimulateBler:
     def test_seed_changes_result(self):
         params = ChannelParams(0.0)
         counts = {
-            simulate_bler(DENSE_3_2, params, 20_000, seed=s).errors for s in range(5)
+            simulate_bler(DENSE_3_2, params, 20_000, seed=s) for s in range(5)
         }
         assert len(counts) > 1
 
@@ -356,38 +388,41 @@ class TestSimulateBler:
             simulate_bler(DENSE_3_2, ChannelParams(0.0), 100, seed=seed)
 
     def test_largest_seed_runs(self):
-        est = simulate_bler(DENSE_3_2, ChannelParams(0.0), 100, seed=(1 << 64) - 1)
-        assert est.trials == 100
+        errors = simulate_bler(DENSE_3_2, ChannelParams(0.0), 100, seed=(1 << 64) - 1)
+        assert 0 <= errors <= 100
 
     def test_shards_accumulate(self):
         params = ChannelParams(0.0)
         one = simulate_bler(DENSE_3_2, params, SHARD_SIZE, seed=9)
         two = simulate_bler(DENSE_3_2, params, 2 * SHARD_SIZE, seed=9)
-        assert one.errors <= two.errors
+        assert one <= two
 
     def test_partial_shard_supported(self):
         params = ChannelParams(2.0)
-        est = simulate_bler(DENSE_3_2, params, SHARD_SIZE + 17, seed=4)
-        assert est.trials == SHARD_SIZE + 17
+        mod, sigma, delta = modulated_matrix(DENSE_3_2), params.noise_sigma, DENSE_3_2.min_distance
+        threshold = linksim._clear_threshold(sigma, delta, DENSE_3_2.n)
+        shards = [linksim._shard_errors(mod, sigma, delta, threshold, 4, i, count)[0]
+                  for i, count in enumerate([SHARD_SIZE, 17])]
+        assert simulate_bler(DENSE_3_2, params, SHARD_SIZE + 17, seed=4) == sum(shards)
 
     def test_high_snr_is_error_free(self):
-        est = simulate_bler(REPETITION_PAIR, ChannelParams(100.0), 10_000, seed=5)
-        assert est.errors == 0
+        assert simulate_bler(REPETITION_PAIR, ChannelParams(100.0), 10_000, seed=5) == 0
 
     def test_shared_seed_is_monotone_in_snr(self):
         # with one seed the same standard normals underlie every point, so
         # shrinking the noise scale can only remove error events
         points = [
-            simulate_bler(DENSE_3_2, ChannelParams(float(snr)), 20_000, seed=6).point
+            simulate_bler(DENSE_3_2, ChannelParams(float(snr)), 20_000, seed=6)
             for snr in range(0, 9)
         ]
         assert all(a >= b for a, b in zip(points, points[1:]))
 
     def test_matches_theory_for_repetition_pair(self):
         params = ChannelParams(0.0)
-        est = simulate_bler(REPETITION_PAIR, params, 200_000, seed=12)
+        row = BlerRow.from_counts(0.0, simulate_bler(REPETITION_PAIR, params, 200_000, seed=12),
+                                  200_000)
         theory = float(q_function(math.sqrt(10 * params.ebn0)))
-        assert abs(est.point - theory) <= 3 * est.ci95_halfwidth
+        assert abs(row.bler - theory) <= 3 * row.ci95
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ INCOMPLETE = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101])
 THEORY_MODES = [MODE_THEORY_DOMINANT, MODE_THEORY_UNION]
 ALL_MODES = [*THEORY_MODES, MODE_SIM]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# finite SNRs in dB past the +-3068 dB that ChannelParams accepts
+EXTREME = [3082.0, 3083.0, 3100.0, 1e308, -3300.0, -1e308]
 BAD_EVALUATION = [
     pytest.param({"seed": -1}, "seed must be a nonnegative integer", id="seed"),
     pytest.param({"trials": 0}, "trials must be >= 1", id="trials"),
@@ -68,6 +70,27 @@ class TestEnergyMetrics:
         expected = "energy metrics requires exactly 2\\*\\*k = 4 codewords, got 1"
         with pytest.raises(ValueError, match=expected):
             energy_metrics(Codebook.from_values(3, 2, 1, [0b111]))
+
+
+class TestBlerRowFromCounts:
+    def test_point_is_exact_ratio(self):
+        row = BlerRow.from_counts(2.0, 3, 1000)
+        assert row.bler == 3 / 1000
+        assert row.snr_db == 2.0
+        assert row.trials == 1000
+
+    def test_interval_positive_at_zero_errors(self):
+        row = BlerRow.from_counts(2.0, 0, 10**6)
+        assert row.bler == 0.0
+        assert row.ci95 > 0
+
+    def test_rejects_bad_counts(self):
+        with pytest.raises(ValueError):
+            BlerRow.from_counts(2.0, 5, 4)
+        with pytest.raises(ValueError):
+            BlerRow.from_counts(2.0, -1, 4)
+        with pytest.raises(ValueError):
+            BlerRow.from_counts(2.0, 0, 0)
 
 
 class TestBlerTable:
@@ -128,6 +151,14 @@ class TestBlerTable:
         """A nan point would otherwise write a nan bler in the theory modes."""
         with pytest.raises(ValueError, match="ebn0_db must be finite"):
             bler_table(DENSE, [snr, 1.0], mode=mode, trials=1_000)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_extreme_grid_point_rejected(self, mode):
+        """Refused before any point is evaluated, not by an OverflowError,
+        a ZeroDivisionError or a numpy warning."""
+        for snr in EXTREME:
+            with pytest.raises(ValueError, match="ebn0_db must be finite and lie in"):
+                bler_table(DENSE, [0.0, snr], mode=mode, trials=1_000)
 
     def test_rows_given_out_of_order_are_sorted(self):
         """A table built from unsorted rows, as read from a file, spans its whole grid."""

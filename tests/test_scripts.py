@@ -75,6 +75,7 @@ def test_sim_library_curves_are_the_tradeoff_rows(tmp_path):
     ("tradeoff_tables.py", "--seed", "-1"),
     ("tradeoff_tables.py", "--trials", "0"),
     ("tradeoff_tables.py", "--threads", "0"),
+    ("tradeoff_tables.py", "--snr-db", "zork"),
     ("design_family.py", "--seed", "-1"),
     ("design_family.py", "--attempts", "0"),
 ])
