@@ -273,8 +273,13 @@ def serialize_codebook(book: Codebook) -> str:
 
 
 def load_codebook(path) -> Codebook:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_codebook(fh.read())
+    """Read and parse a codebook file; a file that is not UTF-8 or does not
+    parse is refused with a CodebookFormatError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_codebook(fh.read())
+    except (UnicodeDecodeError, CodebookFormatError) as exc:
+        raise CodebookFormatError(f"{path}: {exc}") from exc
 
 
 def save_codebook(book: Codebook, path) -> None:

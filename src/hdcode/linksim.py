@@ -110,24 +110,19 @@ def _ml_messages(received: np.ndarray, mod: np.ndarray) -> np.ndarray:
 def _clear_threshold(sigma: float, delta: int, n: int) -> float:
     """The early-accept threshold t of a book with n positions and minimum
     distance delta: the |z| that N(0, sigma**2) noise exceeds with probability
-    delta/n, so that about delta of a trial's n noise values exceed it, capped
-    at 0.84 A/2.
+    delta/n, sigma Phi^-1(1 - delta / 2n), so that about delta of a trial's n
+    noise values exceed it, capped at 0.84 A/2.
 
-    Found by bisection on math.erfc; t sets how many trials clear, never
-    whether a cleared trial is decoded right.  The cap keeps t below A/2: at
-    t >= A/2 no trial can clear.  It binds only at low SNR and small delta/n: at 2 dB
-    the (12, 8, 2) book's uncapped t is 1.10 A/2, and t = 0.5, 0.7, 0.84 and
-    0.95 A/2 clear 3.9%, 8.1%, 9.4% and 7.8% of the shard of Philox key (0, 0).
+    t sets how many trials clear, never whether a cleared trial is decoded
+    right.  The cap keeps t below A/2: at t >= A/2 no trial can clear.  It
+    binds only at low SNR and small delta/n: at 2 dB the (12, 8, 2) book's
+    uncapped t is 1.10 A/2, and t = 0.5, 0.7, 0.84 and 0.95 A/2 clear 3.9%,
+    8.1%, 9.4% and 7.8% of the shard of Philox key (0, 0).
     """
-    p = delta / n  # P(|z| > t) = erfc(t / (sigma sqrt 2))
-    lo, hi = 0.0, 40.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > p:
-            lo = mid
-        else:
-            hi = mid
-    return min(sigma * hi, 0.84 * 0.5 * AMPLITUDE)
+    # statistics imports fractions, decimal and random; the theory modes never pay for them
+    from statistics import NormalDist
+
+    return min(sigma * NormalDist().inv_cdf(1 - delta / (2 * n)), 0.84 * 0.5 * AMPLITUDE)
 
 
 def _undecided_rows(noise: np.ndarray, delta: int, threshold: float) -> np.ndarray:

@@ -240,7 +240,8 @@ def tradeoff_sweep(
     Records are ordered by (codebook position, SNR).  A codebook's records
     come from its `bler_table` at the same grid, mode, trials and seed, so
     they do not depend on the other codebooks, and two codebooks of equal
-    (n, k) share their Monte Carlo draws.
+    (n, k) share their Monte Carlo draws.  A codebook of other than 2**k
+    words is refused, by id, before any is evaluated.
     """
     if not codebooks:
         raise ValueError("no codebooks given")
@@ -250,6 +251,8 @@ def tradeoff_sweep(
         raise ValueError("ids must match codebooks one to one")
     if len(set(ids)) != len(ids):
         raise ValueError("codebook ids must be distinct")
+    for book, codebook_id in zip(codebooks, ids):
+        book.require_size_target(f"codebook {codebook_id!r}")
 
     records = []
     for book, codebook_id in zip(codebooks, ids):
@@ -269,12 +272,14 @@ def select_codebook(
     snr_db (ties go to the lower SNR), built as `tradeoff_sweep` builds its
     records.  Returns the chosen codebook and its record, or None when no
     codebook satisfies the constraint.  Raises if snr_db falls outside any table's grid range, since
-    the nearest row would then be an extrapolation.
+    the nearest row would then be an extrapolation, and names any codebook
+    of other than 2**k words.
     """
     if not library:
         raise ValueError("library is empty")
     candidates = []
     for book, table in library:
+        book.require_size_target(f"codebook {table.codebook_id!r}")
         lo, hi = table.snr_range
         if not lo <= snr_db <= hi:
             raise ValueError(

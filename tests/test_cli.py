@@ -386,6 +386,31 @@ class TestSelectCommand:
         assert f"argument --library: {nowhere!r} is not a directory" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "select"])
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": 3}', "b.json: missing field 'k'"),
+    (b'\xff{"n": 3}', "b.json: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"n": 3, "k": 2, "d": 1, "codewords": ["111", "110"]}',
+     "codebook 'b' requires exactly 2**k = 4 codewords, got 2"),
+], ids=["unparsable", "not-utf8", "incomplete"])
+def test_bad_book_among_several_is_named(tmp_path, capsys, command, data, message):
+    lib = tmp_path / "library"
+    lib.mkdir()
+    good, bad = lib / "a.json", lib / "b.json"
+    good.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [7, 6, 5, 3])))
+    bad.write_bytes(data)
+    for stem in ("a", "b"):
+        (lib / f"{stem}.csv").write_text(
+            "snr_db,mode,bler,ci95,trials\n4.0,theory-dominant,0.1,0.0,0\n"
+        )
+    argv = (["sweep", "--codebook", str(good), "--codebook", str(bad)] if command == "sweep"
+            else ["select", "--library", str(lib), "--rule", "qt>=0.5"])
+    assert main([*argv, "--snr-db", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 class TestProcessLevel:
     def test_missing_subcommand_exit_two(self):
         proc = run_cli()
@@ -496,14 +521,16 @@ def test_negative_seed_is_usage_error(argv, capsys):
 
 
 class TestImports:
-    """Each command loads only the hdcode modules it runs, in a fresh process."""
+    """Each command loads only the hdcode modules it runs, in a fresh process;
+    numpy.random and statistics load only where a command draws noise or
+    sets the early-accept threshold."""
 
     PROBE = (
         "import json, sys\n"
         "from hdcode.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'hdcode'),"
-        " 'numpy.random' in sys.modules]))\n"
+        " 'numpy.random' in sys.modules, 'statistics' in sys.modules]))\n"
     )
     BASE = {"hdcode", "hdcode.cli", "hdcode.codebook"}
     EVAL = BASE | {"hdcode.linksim", "hdcode.metrics"}
@@ -519,23 +546,25 @@ class TestImports:
         )
         return root
 
-    @pytest.mark.parametrize("argv, modules, rng", [
-        (["design", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.search"}, True),
-        (["validate", "{book}"], BASE, False),
-        (["oracle", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.oracle"}, False),
-        (["bler", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False),
+    @pytest.mark.parametrize("argv, modules, rng, stats", [
+        (["design", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.search"}, True, False),
+        (["validate", "{book}"], BASE, False, False),
+        (["oracle", "-n", "3", "-k", "2", "-d", "1"], BASE | {"hdcode.oracle"}, False, False),
+        (["bler", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False, False),
         (["bler", "--codebook", "{book}", "--snr-db", "0", "--mode", "sim", "--trials", "100"],
-         EVAL, True),
-        (["sweep", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False),
-        (["select", "--library", "{lib}", "--snr-db", "0", "--rule", "qt>=0.1"], EVAL, False),
+         EVAL, True, True),
+        (["sweep", "--codebook", "{book}", "--snr-db", "0,2"], EVAL, False, False),
+        (["select", "--library", "{lib}", "--snr-db", "0", "--rule", "qt>=0.1"], EVAL, False,
+         False),
     ], ids=["design", "validate", "oracle", "bler-theory", "bler-sim", "sweep", "select"])
-    def test_command_loads_only_its_modules(self, files, argv, modules, rng):
+    def test_command_loads_only_its_modules(self, files, argv, modules, rng, stats):
         paths = {"book": files / "lib" / "book.json", "lib": files / "lib"}
         argv = [a.format(**paths) for a in argv] + ["--out", str(files / "out")]
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        code, loaded, rng_loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, rng_loaded, stats_loaded = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert set(loaded) == modules
         assert rng_loaded == rng
+        assert stats_loaded == stats

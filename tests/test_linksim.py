@@ -76,6 +76,21 @@ def einsum_shard_errors(mod, sigma, n, seed, shard_index, count):
     return int(np.count_nonzero(decoded != messages))
 
 
+def bisection_clear_threshold(sigma, delta, n):
+    """Reference early-accept threshold: 64 bisection steps on math.erfc over
+    [0, 40] for the |z| that N(0, sigma**2) noise exceeds with probability
+    delta/n, capped at 0.84 A/2."""
+    p = delta / n  # P(|z| > t) = erfc(t / (sigma sqrt 2))
+    lo, hi = 0.0, 40.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > p:
+            lo = mid
+        else:
+            hi = mid
+    return min(sigma * hi, 0.84 * 0.5 * AMPLITUDE)
+
+
 @st.composite
 def complete_books(draw):
     """Random complete codebooks with n <= 10, k <= 5 and a d they satisfy."""
@@ -260,6 +275,20 @@ class TestSimulateBler:
             errors, decoded = linksim._shard_errors(mod, sigma, delta, t, seed, shard_index, count)
             assert errors == expected
             assert errors <= decoded <= count
+
+    def test_clear_threshold_matches_bisection_reference(self):
+        """Every 1 <= delta <= n <= 24, at SNRs where the 0.84 A/2 cap binds
+        (n = 12, delta = 2 at 2 and 4 dB) and where it does not."""
+        for snr in (-10.0, 0.0, 2.0, 4.0, 10.0, 20.0):
+            sigma = ChannelParams(snr).noise_sigma
+            for n in range(1, MAX_N + 1):
+                for delta in range(1, n + 1):
+                    t = linksim._clear_threshold(sigma, delta, n)
+                    expected = bisection_clear_threshold(sigma, delta, n)
+                    assert math.isclose(t, expected, rel_tol=1e-12, abs_tol=1e-15), (snr, n, delta)
+        cap = 0.84 * 0.5 * AMPLITUDE
+        for snr in (2.0, 4.0):
+            assert linksim._clear_threshold(ChannelParams(snr).noise_sigma, 2, 12) == cap
 
     def test_early_accept_stops_at_the_margin(self):
         """Noise a, just below A/2, on the two positions where 0000 and 0011

@@ -245,9 +245,15 @@ class TestTradeoffSweep:
             tradeoff_sweep([DENSE], [snr], mode=mode, trials=1_000)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_refuses_incomplete_book(self, mode):
-        with pytest.raises(ValueError, match="exactly 2\\*\\*k = 4 codewords, got 3"):
-            tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode, trials=1_000)
+    def test_refuses_incomplete_book(self, monkeypatch, mode):
+        """By id, before any book is evaluated."""
+        sims = []
+        monkeypatch.setattr(hdcode.metrics, "simulate_bler", lambda *a, **kw: sims.append(a) or 0)
+        expected = "codebook 'short' requires exactly 2\\*\\*k = 4 codewords, got 3"
+        with pytest.raises(ValueError, match=expected):
+            tradeoff_sweep([DENSE, INCOMPLETE], [0.0], mode=mode, trials=1_000,
+                           ids=["dense", "short"])
+        assert sims == []
 
 
 class TestDistributionBuilds:
@@ -378,3 +384,10 @@ class TestSelectCodebook:
         rule = SelectionRule(kind="max-bler", threshold=1.0)
         with pytest.raises(ValueError):
             select_codebook([], 0.0, rule)
+
+    def test_incomplete_book_named(self):
+        library = [*self.library, (INCOMPLETE, table("short", [(0.0, 0.5), (4.0, 0.1)]))]
+        rule = SelectionRule(kind="max-bler", threshold=1.0)
+        expected = "codebook 'short' requires exactly 2\\*\\*k = 4 codewords, got 3"
+        with pytest.raises(ValueError, match=expected):
+            select_codebook(library, 4.0, rule)
