@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,12 +63,8 @@ class ChannelParams:
         return 10.0 ** (self.ebn0_db / 10.0)
 
     @property
-    def n0(self) -> float:
-        return 1.0 / self.ebn0
-
-    @property
     def noise_sigma(self) -> float:
-        return math.sqrt(self.n0 / 2.0)
+        return math.sqrt(0.5 / self.ebn0)
 
 
 def q_function(x):
@@ -182,9 +179,9 @@ def simulate_bler(
 
     Shard i of SHARD_SIZE trials (the last may be short) draws from a Philox
     generator keyed (seed, i).  Thread j of `threads`, capped at the shard
-    count, runs shards j, j + threads, ... and sums their counts, so the
-    result is the same for any thread count.  The seed is one 64-bit key
-    word, so it must lie in [0, 2**64).
+    count and the CPU count, runs shards j, j + threads, ... and sums their
+    counts, so the result is the same for any thread count.  The seed is one
+    64-bit key word, so it must lie in [0, 2**64).
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
@@ -197,7 +194,7 @@ def simulate_bler(
     delta = book.min_distance
     threshold = _clear_threshold(sigma, delta, book.n)
     shards = -(-trials // SHARD_SIZE)
-    threads = min(threads, shards)
+    threads = min(threads, shards, os.cpu_count() or 1)
 
     def run(first: int) -> tuple[int, int]:
         errors = decoded = 0
@@ -222,6 +219,13 @@ def simulate_bler(
     return errors
 
 
+def _union_bound(distribution: np.ndarray, distances: np.ndarray, params: ChannelParams) -> float:
+    """Sum of B[w] Q(sqrt(w Eb/N0)) over the given distances w, divided by m = B[0] and
+    clamped to 1, with B the codebook's distance distribution."""
+    terms = distribution[distances] * q_function(np.sqrt(distances * params.ebn0))
+    return min(float(terms.sum() / int(distribution[0])), 1.0)
+
+
 def theoretical_bler_dominant(distribution: np.ndarray, params: ChannelParams) -> float:
     """Minimum-distance term of the union bound, averaged over messages and clamped to 1.
 
@@ -230,20 +234,12 @@ def theoretical_bler_dominant(distribution: np.ndarray, params: ChannelParams) -
     minimum distance, returns (pairs at delta per message) * Q(sqrt(delta * Eb/N0)),
     or 1 where that term passes 1, as it does at low SNR.
     """
-    m = int(distribution[0])
-    nonzero = np.flatnonzero(distribution[1:])
-    if nonzero.size == 0:
+    distances = np.flatnonzero(distribution[1:]) + 1
+    if distances.size == 0:
         raise ValueError("a single codeword has no distances")
-    delta = int(nonzero[0]) + 1
-    value = float(int(distribution[delta]) / m * q_function(math.sqrt(delta * params.ebn0)))
-    return min(value, 1.0)
+    return _union_bound(distribution, distances[:1], params)
 
 
 def theoretical_bler_union(distribution: np.ndarray, params: ChannelParams) -> float:
     """Full pairwise union bound, averaged over messages and clamped to 1."""
-    m = int(distribution[0])
-    dists = np.flatnonzero(distribution[1:]) + 1
-    value = float(
-        (distribution[dists] * q_function(np.sqrt(dists * params.ebn0))).sum() / m
-    )
-    return min(value, 1.0)
+    return _union_bound(distribution, np.flatnonzero(distribution[1:]) + 1, params)

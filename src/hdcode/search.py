@@ -129,22 +129,20 @@ def _ball_table(n: int, radius: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _table_extend(book: Codebook, mask: int = 0) -> Codebook:
-    """extend_codebook for small n: the free words as one int, lowest word at the top bit."""
-    ball = _ball_table(book.n, book.d - 1)
-    size = 1 << book.n
+def _table_extend(words: np.ndarray, n: int, d: int) -> list[int]:
+    """Greedy's added words for small n: the free words as one int, lowest word at the top bit."""
+    ball = _ball_table(n, d - 1)
+    size = 1 << n
     blocked = 0
-    for v in book.values.tolist():
-        blocked |= ball[v ^ mask]
+    for v in words.tolist():
+        blocked |= ball[v]
     free = blocked ^ ((1 << size) - 1)
     added = []
     while free:
         x = size - free.bit_length()
-        added.append(x ^ mask)
+        added.append(x)
         free ^= free & ball[x]
-    return Codebook.from_values(
-        book.n, book.k, book.d, np.concatenate((book.values, np.array(added, dtype=np.uint32)))
-    )
+    return added
 
 
 @lru_cache(maxsize=1)
@@ -225,13 +223,12 @@ def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
     return bits
 
 
-def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
-    """extend_codebook for n >= 6 over a bitset of 2**(n-6) uint64 blocks, one block per round."""
-    n, d = book.n, book.d
+def _bitset_extend(words: np.ndarray, n: int, d: int) -> list[int]:
+    """Greedy's added words for n >= 6, over 2**(n-6) uint64 blocks, one block per round."""
     shift, subsets = _ball_rows(n, d - 1)
     balls, ball_ints = _low_balls(), _low_ball_ints()
     keep = [~ball & _FULL for ball in balls[:, min(_LOW_BITS, d - 1)].tolist()]
-    bits = _balls_bitset(book.values ^ np.uint32(mask), n, d - 1)
+    bits = _balls_bitset(words, n, d - 1)
     added: list[int] = []
     j = 0
     while j < len(bits):
@@ -259,8 +256,7 @@ def _bitset_extend(book: Codebook, mask: int = 0) -> Codebook:
         rows, radii = subsets[j >> shift]
         bits[rows ^ j] |= ball.take(radii)
         j += 1
-    words = np.array(added, dtype=np.uint32) ^ np.uint32(mask)
-    return Codebook.from_values(n, book.k, d, np.concatenate((book.values, words)))
+    return added
 
 
 def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
@@ -270,9 +266,9 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     keeps the minimum distance >= d.  The output contains the input, and no
     word of length n can be added to it without violating d.  XOR with the
     mask is a self-inverse isometry, so the result is the counter-order
-    extension of the book flipped by the mask, flipped back: the kernels
-    below work in the flipped frame, reading each input word v as v ^ mask
-    and adding x ^ mask for each free x, and the output book is built once.
+    extension of the book flipped by the mask, flipped back: the book is
+    flipped once, a kernel returns the words x that greedy adds in that
+    frame, and the output book is built once from the input and each x ^ mask.
 
     While a table of 2**n balls fits BALL_TABLE_BUDGET_BYTES (n <= 12), the
     free words are one 2**n-bit int: the input words' balls are cleared from
@@ -301,11 +297,13 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     Memory is O(2**(n-6)): the bitset and the subsets, at 9 bytes per row
     about 4.5 full row tables together.  No ball is enumerated word by word.
     """
-    if not 0 <= mask < 1 << book.n:
-        raise ValueError(f"mask {mask} does not fit in n={book.n} bits")
-    if (1 << 2 * book.n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
-        return _table_extend(book, mask)
-    return _bitset_extend(book, mask)
+    n = book.n
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"mask {mask} does not fit in n={n} bits")
+    flip = np.uint32(mask)
+    kernel = _table_extend if (1 << 2 * n) >> 3 <= BALL_TABLE_BUDGET_BYTES else _bitset_extend
+    added = np.array(kernel(book.values ^ flip, n, book.d), dtype=np.uint32) ^ flip
+    return Codebook.from_values(n, book.k, book.d, np.concatenate((book.values, added)))
 
 
 def local_search(book: Codebook, positions: Iterable[int]) -> Codebook:

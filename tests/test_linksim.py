@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -111,8 +112,8 @@ class TestChannelParams:
     def test_noise_level_follows_snr(self):
         low = ChannelParams(0.0)
         high = ChannelParams(8.0)
-        assert low.n0 > high.n0
-        assert low.noise_sigma == pytest.approx(math.sqrt(low.n0 / 2))
+        assert low.noise_sigma > high.noise_sigma
+        assert high.noise_sigma == pytest.approx(math.sqrt(1 / (2 * high.ebn0)))
 
     @pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf])
     def test_non_finite_ebn0_refused(self, ebn0_db):
@@ -141,9 +142,10 @@ class TestChannelParams:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_amplitude_and_eb(self):
-        """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB."""
+        """Eb = 1: a 1-bit is sent at amplitude sqrt(2), and N0 = 1 at 0 dB, a noise
+        variance of N0 / 2."""
         assert AMPLITUDE == math.sqrt(2.0)
-        assert ChannelParams(0.0).n0 == 1.0
+        assert ChannelParams(0.0).noise_sigma == math.sqrt(0.5)
 
 
 class TestQFunction:
@@ -381,6 +383,38 @@ class TestSimulateBler:
         assert (calls == 1).all()
         assert (counts[:-1] == SHARD_SIZE).all() and counts[-1] == 2_560
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        """A point asks for no more workers than the machine has CPUs, however
+        many threads the caller names: a pool that runs its work inline records
+        the worker count, and a billion trials still run each shard once."""
+        shards = -(-10**9 // SHARD_SIZE)
+        calls = np.zeros(shards, dtype=np.int64)
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        def stub(mod, sigma, delta, threshold, seed, shard_index, count):
+            calls[shard_index] += 1
+            return 0, 0
+
+        monkeypatch.setattr(linksim, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(linksim, "_shard_errors", stub)
+        assert simulate_bler(DENSE_3_2, ChannelParams(4.0), 10**9, seed=1, threads=10**6) == 0
+        assert all(count <= os.cpu_count() for count in workers)
+        assert shards == 61_036
+        assert (calls == 1).all()
+
     def test_row_blocks_do_not_change_result(self, monkeypatch):
         params = ChannelParams(4.0)
         trials = 2 * SHARD_SIZE + 77
@@ -397,7 +431,8 @@ class TestSimulateBler:
         [record] = [r for r in caplog.records if r.name == "hdcode.linksim"]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for part in (f"{2 * SHARD_SIZE + 5} trials", "3 shards", "2 threads", "trials/s"):
+        threads = f"{min(2, os.cpu_count())} threads"
+        for part in (f"{2 * SHARD_SIZE + 5} trials", "3 shards", threads, "trials/s"):
             assert part in message
         decoded, cleared = map(int, re.search(
             r"(\d+) decoded, (\d+) cleared by the noise test", message).groups())

@@ -85,3 +85,20 @@ def test_bad_count_or_seed_is_a_usage_error_of_the_script(tmp_path, script, opti
     assert run.returncode == 2
     assert f"{script}: error: argument {option}: expected a" in run.stderr
     assert not (tmp_path / "results").exists()
+
+
+def test_readme_library_use_block_runs(tmp_path):
+    """The first python block under the README's "Library use" heading, cut out
+    as the CI README step's awk cuts it, runs and prints two lines."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    heading = next(i for i, line in enumerate(lines) if line.startswith("## Library use"))
+    first = next(i for i in range(heading, len(lines)) if lines[i].startswith("```python")) + 1
+    last = next(i for i in range(first, len(lines)) if lines[i].startswith("```"))
+    script = tmp_path / "library_use.py"
+    script.write_text("\n".join(lines[first:last]) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    printed = run.stdout.splitlines()
+    assert len(printed) == 2 and all(line.strip() for line in printed)

@@ -87,6 +87,16 @@ def ball_scatter_extend(book, mask=0):
     return Codebook.from_values(n, book.k, d, values)
 
 
+TABLE, BITSET = 1 << 62, 0  # ball-table budgets that force each kernel
+
+
+def forced_extend(budget, book, mask=0):
+    """extend_codebook under a ball-table budget, TABLE or BITSET, that picks one kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "BALL_TABLE_BUDGET_BYTES", budget)
+        return extend_codebook(book, mask)
+
+
 def greedy_filter(n, d, values):
     kept = []
     for v in values:
@@ -245,10 +255,10 @@ class TestExtend:
 
 
 class TestExtendKernels:
-    """The ball-table and bitset kernels called directly, each where it can run.
+    """The ball-table and bitset kernels, each forced through extend_codebook where it can run.
 
-    extend_codebook only reaches the bitset kernel at n >= 13, so these
-    tests keep it covered from one block (n = 6) up.
+    By default extend_codebook only reaches the bitset kernel at n >= 13, so
+    these tests keep it covered from one block (n = 6) up.
     """
 
     @classmethod
@@ -259,8 +269,8 @@ class TestExtendKernels:
     @settings(max_examples=120, deadline=None)
     def test_both_kernels_match_ball_scatter(self, book):
         expected = ball_scatter_extend(book)
-        assert search._table_extend(book) == expected
-        assert search._bitset_extend(book) == expected
+        assert forced_extend(TABLE, book) == expected
+        assert forced_extend(BITSET, book) == expected
 
     @given(seed_books(min_n=6), st.data())
     @settings(max_examples=120, deadline=None)
@@ -268,14 +278,14 @@ class TestExtendKernels:
         mask = data.draw(st.integers(0, (1 << book.n) - 1))
         positions = mask_positions(mask, book.n)
         expected = mutate(ball_scatter_extend(mutate(book, positions)), positions)
-        assert search._table_extend(book, mask) == expected
-        assert search._bitset_extend(book, mask) == expected
+        assert forced_extend(TABLE, book, mask) == expected
+        assert forced_extend(BITSET, book, mask) == expected
 
     @given(block_kernel_cases())
     @settings(max_examples=150, deadline=None)
     def test_block_kernel_matches_ball_scatter(self, case):
         book, mask = case
-        assert search._bitset_extend(book, mask) == ball_scatter_extend(book, mask)
+        assert forced_extend(BITSET, book, mask) == ball_scatter_extend(book, mask)
 
     @pytest.mark.parametrize("n,d", [(13, 2), (14, 2), (13, 7), (14, 7), (14, 9)])
     def test_block_kernel_with_many_or_one_pick_per_block(self, n, d):
@@ -283,12 +293,12 @@ class TestExtendKernels:
         block; from d = 7 the own-block ball covers the block, so each takes
         at most one."""
         rng = np.random.default_rng(n * 16 + d)
-        picks = np.bincount(search._bitset_extend(Codebook(n=n, k=3, d=d)).values >> 6)
+        picks = np.bincount(forced_extend(BITSET, Codebook(n=n, k=3, d=d)).values >> 6)
         assert picks.max() == (32 if d == 2 else 1)
         seeded = greedy_filter(n, d, rng.integers(0, 1 << n, size=12).tolist())
         for book in (Codebook(n=n, k=3, d=d), Codebook.from_values(n, 3, d, seeded)):
             mask = int(rng.integers(0, 1 << n))
-            assert search._bitset_extend(book, mask) == ball_scatter_extend(book, mask)
+            assert forced_extend(BITSET, book, mask) == ball_scatter_extend(book, mask)
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -299,7 +309,7 @@ class TestExtendKernels:
         raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
         book = Codebook.from_values(n, 3, 2, greedy_filter(n, 2, raw))
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        extended = search._bitset_extend(book, mask)
+        extended = forced_extend(BITSET, book, mask)
         assert extended == ball_scatter_extend(book, mask)
         added = np.setdiff1d(extended.values, book.values) ^ np.uint32(mask)
         assert np.bincount(added >> 6).max() > 1
@@ -307,7 +317,7 @@ class TestExtendKernels:
     @given(seed_books(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_table_kernel_below_one_block(self, book):
-        assert search._table_extend(book) == ball_scatter_extend(book)
+        assert forced_extend(TABLE, book) == ball_scatter_extend(book)
 
     @pytest.mark.parametrize(
         "n,radius", [(6, 3), (7, 1), (8, 2), (9, 5), (10, 3), (11, 2), (14, 4)]
