@@ -104,12 +104,13 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-# Greedy extension has two kernels, picked by n.  For n <= 12 a cached table
-# gives each word's ball as one Python int of 2**n bits, in reverse order:
-# word y at bit 2**n - 1 - y.  Above that the blocked words live in a bitset
-# of uint64 blocks: block j holds words 64j ... 64j + 63, word 64j + b at
-# bit b.  A word's high part (w >> 6) picks its block and its low part
-# (w & 63) its bit.
+# Greedy extension has three kernels, picked by n and d.  For n <= 12 a
+# cached table gives each word's ball as one Python int of 2**n bits, in
+# reverse order: word y at bit 2**n - 1 - y.  Above that the blocked words
+# live in a bitset of uint64 blocks: block j holds words 64j ... 64j + 63,
+# word 64j + b at bit b.  A word's high part (w >> 6) picks its block and
+# its low part (w & 63) its bit.  At d = 2 the blocks are decided in
+# popcount waves, at any other d one block per round.
 BALL_TABLE_BUDGET_BYTES = 1 << 21  # a 2**n-word table takes 2**(2n-3) bytes
 _LOW_BITS = 6
 _SPLIT_BITS = 3  # the ball rows are kept per value of this many top bits of a block index
@@ -164,29 +165,40 @@ def _low_ball_ints() -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _ball_rows(n: int, radius: int) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The blocks h of the radius ball around 0, and min(6, radius - popcount(h)).
-
-    The ball around x is that ball translated by XOR: in block h ^ j,
-    j = x >> 6, it holds the low parts within min(6, radius - popcount(h))
-    of x & 63.  Once the greedy scan reaches block j every block below it is
-    full, and h ^ j < j exactly when the top set bit of h is set in j.  Returns
-    (shift, subsets): subsets[j >> shift] holds the rows (int64) and their
-    radii (uint8), less the rows whose top set bit is one of the top
-    _SPLIT_BITS bits of j and is set in j.
-    """
+def _popcount_waves(n: int) -> tuple[np.ndarray, ...]:
+    """The block indices of 2**(n-6) blocks, one array per popcount from 0 to n - 6."""
     high = np.arange(1 << (n - _LOW_BITS))
     weight = np.bitwise_count(high)
-    inside = weight <= radius
-    rows = high[inside]
-    radii = np.minimum(radius - weight[inside], _LOW_BITS).astype(np.uint8)
+    waves = tuple(high[weight == w] for w in range(n - _LOW_BITS + 1))
+    for wave in waves:
+        wave.setflags(write=False)
+    return waves
+
+
+@lru_cache(maxsize=8)
+def _ball_rows(n: int, radius: int) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The blocks h of the radius ball around 0, sorted by s = min(6, radius - popcount(h)).
+
+    The ball around x is that ball translated by XOR: in block h ^ j,
+    j = x >> 6, it holds the low parts within s of x & 63.  Once the greedy
+    scan reaches block j every block below it is full, and h ^ j < j exactly
+    when the top set bit of h is set in j.  Returns (shift, subsets):
+    subsets[j >> shift] holds the rows (int64), less the rows whose top set
+    bit is one of the top _SPLIT_BITS bits of j and is set in j, and the
+    count of its rows at each s from 0 to 6, so that np.repeat(row of
+    _low_balls(), counts) gives each row its low-part set.  subsets[0] holds
+    every row.
+    """
+    rows = np.concatenate(_popcount_waves(n)[radius::-1])
+    column = np.minimum(radius - np.bitwise_count(rows), _LOW_BITS)
     shift = max(n - _LOW_BITS - _SPLIT_BITS, 0)
-    top_bit = np.array([1 << v.bit_length() >> 1 for v in range(1 << (n - _LOW_BITS - shift))])
+    top_bit = np.array([1 << v.bit_length() >> 1 for v in range(1 << (n - _LOW_BITS - shift))],
+                       dtype=np.uint8)
     lead = top_bit[rows >> shift]
     subsets = []
     for prefix in range(len(top_bit)):
         keep = (lead & prefix) == 0
-        subset = rows[keep], radii[keep]
+        subset = rows[keep], np.bincount(column[keep], minlength=_LOW_BITS + 1)
         for part in subset:
             part.setflags(write=False)
         subsets.append(subset)
@@ -223,19 +235,43 @@ def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
     return bits
 
 
+def _pushed_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
+    """The bitset of _balls_bitset, built by writing each word's whole ball, one step a word."""
+    bits = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint64)
+    rows, counts = _ball_rows(n, radius)[1][0]
+    balls = _low_balls()
+    for x in values.tolist():
+        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].repeat(counts)
+    return bits
+
+
+def _blocked(words: np.ndarray, n: int, radius: int) -> np.ndarray:
+    """The input book's blocked words: its balls pushed while that is cheaper than dilating.
+
+    Pushing costs a write per ball row of each word, dilating radius rounds
+    of n - 6 passes over the bitset; a row write costs about as much as 4
+    pass elements.
+    """
+    rows = _ball_rows(n, radius)[1][0][0]
+    if 4 * len(words) * len(rows) < radius * (n - _LOW_BITS) << (n - _LOW_BITS):
+        return _pushed_bitset(words, n, radius)
+    return _balls_bitset(words, n, radius)
+
+
 def _bitset_extend(words: np.ndarray, n: int, d: int) -> list[int]:
     """Greedy's added words for n >= 6, over 2**(n-6) uint64 blocks, one block per round."""
     shift, subsets = _ball_rows(n, d - 1)
     balls, ball_ints = _low_balls(), _low_ball_ints()
     keep = [~ball & _FULL for ball in balls[:, min(_LOW_BITS, d - 1)].tolist()]
-    bits = _balls_bitset(words, n, d - 1)
+    bits = _blocked(words, n, d - 1)
+    full = np.uint64(_FULL)
     added: list[int] = []
     j = 0
     while j < len(bits):
-        block = int(bits[j])
+        block = bits.item(j)
         if block == _FULL:
-            j += int((bits[j:] != _FULL).argmax())
-            block = int(bits[j])
+            j += int((bits[j:] != full).argmax())
+            block = bits.item(j)
             if block == _FULL:
                 break
         free = ~block & _FULL
@@ -253,10 +289,39 @@ def _bitset_extend(words: np.ndarray, n: int, d: int) -> list[int]:
             ball = balls[lows[0]]
         else:
             ball = np.frombuffer(union.to_bytes(8 * (_LOW_BITS + 1), "little"), "<u8")
-        rows, radii = subsets[j >> shift]
-        bits[rows ^ j] |= ball.take(radii)
+        rows, counts = subsets[j >> shift]
+        bits[rows ^ j] |= ball.repeat(counts)
         j += 1
     return added
+
+
+def _wave_extend(words: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Greedy's added words at d = 2 for n >= 6, deciding all blocks of one popcount at once.
+
+    A radius-1 ball reaches from block j only blocks j ^ (1 << i), and of
+    those the one above j has one more set bit.  So when every block of
+    popcount below w is decided, the blocks of popcount w hold the free
+    words the counter-order scan gives them, and each picks its words by
+    the lowest-first greedy, all of them together on uint64 arrays.
+    """
+    bits = _blocked(words, n, d - 1)
+    # the own-block clear mask of the pick at each bit, and no-op entry 64 for a block with none
+    clear = np.append(~_low_balls()[:, 1], np.uint64(_FULL))
+    one = np.uint64(1)
+    picked = np.zeros_like(bits)
+    for blocks in _popcount_waves(n):
+        free = ~bits[blocks]
+        picks = np.zeros_like(free)
+        while free.any():
+            low = free & -free
+            picks |= low
+            free &= clear[np.bitwise_count(low - one)]
+        picked[blocks] = picks
+        for i in range(n - _LOW_BITS):
+            up = (blocks >> i) & 1 == 0
+            bits[blocks[up] | 1 << i] |= picks[up]
+    picked_bytes = picked.astype("<u8", copy=False).view(np.uint8)
+    return np.flatnonzero(np.unpackbits(picked_bytes, bitorder="little"))
 
 
 def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
@@ -279,29 +344,46 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     per (n, d-1) and the last 8 stay cached.
 
     Above that the blocked words, those within d-1 of a member, are the set
-    bits of a bitset of 2**(n-6) uint64 blocks.  The input book's balls are
-    set by d-1 rounds of hypercube dilation.  Then each round takes the
-    lowest block j that is not full.  Its free words are picked greedily on
-    a Python int, each pick x clearing its own-block ball, the low parts
-    within min(6, d-1) of x & 63.  The ball around x is the ball around 0
-    translated by XOR: each of its blocks h gets one 64-bit low-part set
-    from a (64, 7) table, at row x & 63 and column min(6, d-1 -
-    popcount(h)), ORed into block h ^ j.  The picks of block j share j, so
-    their low-part sets are ORed together, each pick's 7 columns as one
-    Python int, and written to the other blocks in one step.  A pick
-    reaches its own block only through h = 0, and block j is full once its
-    picks are made, so the round moves on to block j + 1, scanning for the
-    next block that is not full only from a full one.  The blocks below j are full too, so the rows h with h ^ j below j
-    need no write: the row table is kept in 8 subsets, one per value of the
-    top 3 bits of j, each leaving out the rows it can tell land below.
-    Memory is O(2**(n-6)): the bitset and the subsets, at 9 bytes per row
-    about 4.5 full row tables together.  No ball is enumerated word by word.
+    bits of a bitset of 2**(n-6) uint64 blocks.  The ball around x is the
+    ball around 0 translated by XOR: each of its blocks h gets one 64-bit
+    low-part set from a (64, 7) table, at row x & 63 and column min(6, d-1 -
+    popcount(h)), ORed into block h ^ j, j = x >> 6.  The rows h are kept
+    sorted by that column, with the count of rows in each, so a word's whole
+    ball is one write, bits[rows ^ j] |= np.repeat(its table row, counts).
+    The input book's balls are set so, word by word, while that costs less
+    than d-1 rounds of hypercube dilation over the whole bitset: while
+    m * rows < (d-1) * (n-6) * 2**(n-6) / 4.
+
+    At d = 2 the blocks are decided in waves, all blocks of popcount 0, then
+    1, and so on.  A radius-1 ball reaches from block j only the blocks
+    j ^ (1 << i), and the later of two such blocks has the larger popcount,
+    so each wave sees the picks of every earlier block that reaches it.  A
+    wave runs the lowest-first greedy on all its blocks' free masks at once,
+    each pick clearing its own-block ball, then ORs its picks into the
+    blocks j | 1 << i.
+
+    At any other d each round takes the lowest block j that is not full.
+    Its free words are picked greedily on a Python int, each pick x clearing
+    its own-block ball, the low parts within min(6, d-1) of x & 63.  The
+    picks of block j share j, so their low-part sets are ORed together, each
+    pick's 7 columns as one Python int, and written to the other blocks in
+    one step.  A pick reaches its own block only through h = 0, and block j
+    is full once its picks are made, so the round moves on to block j + 1,
+    scanning for the next block that is not full only from a full one.  The
+    blocks below j are full too, so the rows h with h ^ j below j need no
+    write: the row table is kept in 8 subsets, one per value of the top 3
+    bits of j, each leaving out the rows it can tell land below.  Memory is
+    O(2**(n-6)): the bitset and the subsets, at 8 bytes per row about 4.5
+    full row tables together.  No ball is enumerated word by word.
     """
     n = book.n
     if not 0 <= mask < 1 << n:
         raise ValueError(f"mask {mask} does not fit in n={n} bits")
     flip = np.uint32(mask)
-    kernel = _table_extend if (1 << 2 * n) >> 3 <= BALL_TABLE_BUDGET_BYTES else _bitset_extend
+    if (1 << 2 * n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
+        kernel = _table_extend
+    else:
+        kernel = _wave_extend if book.d == 2 else _bitset_extend
     added = np.array(kernel(book.values ^ flip, n, book.d), dtype=np.uint32) ^ flip
     return Codebook.from_values(n, book.k, book.d, np.concatenate((book.values, added)))
 

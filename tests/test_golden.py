@@ -34,12 +34,18 @@ DESIGN_GOLDEN = [
      "65ff17accc461055960c9ca84cc9f1de568c0e3c1655a4872564ef1067eae7b3"),
 ]
 
-# n >= 13, where extend_codebook runs the bitset kernel, at 3 generations with patience 3
+# n >= 13, where extend_codebook runs the bitset kernels, capped at the pinned generation
+# count with patience equal to it: (18, 4, 6) extends books on both sides of the line
+# between pushing an input book's balls and dilating them, (16, 12, 2) runs the d = 2 waves
 BITSET_DESIGN_GOLDEN = [
     ((16, 6, 4), 0, 784, 3, [(784, 4)],
      "59570358449d87e58d5cd7a9b06dd7d81cb3c3b602879e2c5fc3a2fcc0ba6a1c"),
     ((18, 3, 7), 0, 106, 3, [(106, 4)],
      "ca5fb1e7cb745a12bb284a81d8b7c48a763bd97662135007444eff0e90d7801c"),
+    ((18, 4, 6), 0, 214, 3, [(214, 4)],
+     "03bdb769a3c2dd268390873da4dbe82695796aa54caa67526953a772b0358457"),
+    ((16, 12, 2), 0, 46240, 1, [(46240, 2)],
+     "382ee140c792f9f00c3b40c13007bc9cb7efd992da700007a05e72acb63a8b73"),
 ]
 
 # a (7, 3, 3) codebook and its Monte Carlo error counts at seed 7, 40000 trials

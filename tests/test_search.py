@@ -257,8 +257,9 @@ class TestExtend:
 class TestExtendKernels:
     """The ball-table and bitset kernels, each forced through extend_codebook where it can run.
 
-    By default extend_codebook only reaches the bitset kernel at n >= 13, so
-    these tests keep it covered from one block (n = 6) up.
+    By default extend_codebook only reaches the bitset kernels at n >= 13, so
+    these tests keep them covered from one block (n = 6) up: the popcount
+    waves at d = 2 and the block-per-round kernel at any other d.
     """
 
     @classmethod
@@ -303,8 +304,8 @@ class TestExtendKernels:
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_block_kernel_with_many_picks_from_seeded_books(self, data):
-        """At d = 2 and n >= 13 rounds pick several words each, whose low-part
-        balls are ORed together before the one write to the other blocks."""
+        """At d = 2 and n >= 13 blocks pick several words each, all the blocks
+        of one popcount together in the waves."""
         n = data.draw(st.integers(13, 14))
         raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
         book = Codebook.from_values(n, 3, 2, greedy_filter(n, 2, raw))
@@ -324,14 +325,51 @@ class TestExtendKernels:
     )
     def test_ball_rows_leave_out_only_blocks_below(self, n, radius):
         """Every ball row h with h ^ j >= j is kept for block j; a left-out row
-        lands below j, in a block that is already full."""
+        lands below j, in a block that is already full.  Subset 0 keeps every
+        row, and the counts give each row its radius column."""
         shift, subsets = search._ball_rows(n, radius)
         ball = [h for h in range(1 << (n - 6)) if h.bit_count() <= radius]
+        assert sorted(subsets[0][0].tolist()) == ball
         for j in range(1 << (n - 6)):
-            rows, radii = subsets[j >> shift]
+            rows, counts = subsets[j >> shift]
             kept = rows.tolist()
             assert {h for h in ball if h ^ j >= j} <= set(kept) <= set(ball)
-            assert radii.tolist() == [min(6, radius - h.bit_count()) for h in kept]
+            assert len(counts) == 7 and counts.sum() == len(kept)
+            columns = np.repeat(np.arange(7), counts).tolist()
+            assert columns == [min(6, radius - h.bit_count()) for h in kept]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pushed_balls_match_dilated_balls(self, data):
+        """On both sides of the book size at which the input book's balls go
+        from pushed to dilated, either way sets the same bits."""
+        n = data.draw(st.integers(13, 18))
+        radius = data.draw(st.integers(1, 7))
+        rows = len(search._ball_rows(n, radius)[1][0][0])
+        line = (radius * (n - 6) << (n - 6)) // (4 * rows)
+        m = data.draw(st.integers(0, 2 * line + 1))
+        words = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
+            0, 1 << n, size=m, dtype=np.uint32
+        )
+        expected = search._balls_bitset(words, n, radius)
+        assert np.array_equal(search._pushed_bitset(words, n, radius), expected)
+        assert np.array_equal(search._blocked(words, n, radius), expected)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_waves_match_block_kernel(self, data):
+        """The d = 2 waves add the words the block-per-round kernel adds, from a
+        random book and again from a random half of the extended book."""
+        n = data.draw(st.integers(13, 16))
+        raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+        mask = np.uint32(data.draw(st.integers(0, (1 << n) - 1)))
+        words = np.array(greedy_filter(n, 2, raw), dtype=np.uint32) ^ mask
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        for _ in range(2):
+            added = search._bitset_extend(words, n, 2)
+            assert sorted(search._wave_extend(words, n, 2).tolist()) == sorted(added)
+            extended = np.concatenate((words, np.array(added, dtype=np.uint32)))
+            words = extended[rng.random(len(extended)) < 0.5]
 
     def test_table_matches_brute_force_ball(self):
         search._ball_table.cache_clear()
