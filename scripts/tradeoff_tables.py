@@ -20,7 +20,7 @@ import shutil
 from pathlib import Path
 
 from hdcode.cli import _nonnegative_int, _positive_int, main as hdcode_main, parse_snr_grid
-from hdcode.metrics import BLER_MODES
+from hdcode.metrics import BLER_MODES, DEFAULT_TRIALS, MODE_THEORY_DOMINANT, MODE_THEORY_UNION
 
 EXAMPLE_RULES = [
     (2.0, "bler<=1e-2"),
@@ -43,10 +43,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--snr-db", type=_snr_grid_text, default="0:8:0.5",
                         help="grid as '0,1,2' or 'start:stop[:step]' (default 0:8:0.5)")
-    parser.add_argument("--modes", nargs="+", default=["theory-dominant", "theory-union"],
+    parser.add_argument("--modes", nargs="+", default=[MODE_THEORY_DOMINANT, MODE_THEORY_UNION],
                         choices=BLER_MODES,
                         help="BLER modes to tabulate; the first is swept and fills the library")
-    parser.add_argument("--trials", type=_positive_int, default=100_000)
+    parser.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     parser.add_argument("--seed", type=_nonnegative_int, default=0)
     parser.add_argument("--threads", type=_positive_int, default=4)
     args = parser.parse_args(argv)

@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-# Only codebook loads with this module: each handler imports the modules it
-# runs, so an hdcode process loads no module its subcommand does not use.
+# Only codebook loads with this module: each command's options and handler import
+# the modules it runs, so an hdcode process loads no module its subcommand does not use.
 from .codebook import (
     Codebook,
     codebook_document,
@@ -146,6 +146,10 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+def _write_json(out: str | None, doc: dict) -> None:
+    _write_text(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _load_books(paths: Sequence[str]) -> tuple[list[Codebook], list[str]]:
     books = [load_codebook(p) for p in paths]
     stems = [Path(p).stem for p in paths]
@@ -166,9 +170,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-# literals, not metrics.BLER_MODES, so that building the parser imports no
-# metrics; tests/test_cli.py keeps the two equal
-BLER_MODES = ("theory-dominant", "theory-union", "sim")
 BLER_COLUMNS = ("snr_db", "mode", "bler", "ci95", "trials")
 _BLER_CELL_TYPES = dict(zip(BLER_COLUMNS, (float, str, float, float, int)))
 
@@ -177,10 +178,12 @@ def _bler_cell(path: Path, line_num: int, column: str, text: str | None, seen: s
     """One parsed cell of a bler CSV row.
 
     An empty or unparsable cell is refused, and so is an snr_db that is not
-    finite or is in `seen`, a mode that is not one of BLER_MODES, a bler, in
-    any mode, that is nan or lies outside [0, 1], a ci95 that is nan, infinite
-    or negative, and negative trials.
+    finite or is in `seen`, a mode that is not one of metrics.BLER_MODES, a
+    bler, in any mode, that is nan or lies outside [0, 1], a ci95 that is nan,
+    infinite or negative, and negative trials.
     """
+    from .metrics import BLER_MODES
+
     try:
         value = _BLER_CELL_TYPES[column](text) if text else None
     except ValueError:
@@ -234,14 +237,8 @@ def _load_library(directory: str) -> list[tuple[Codebook, BlerTable]]:
 def _cmd_design(args: argparse.Namespace) -> None:
     from .search import DesignConfig, genetic_local_search
 
-    config = DesignConfig(
-        population_size=args.population_size,
-        init_size_range=tuple(args.init_size),
-        mutation_rate=args.mutation_rate,
-        patience=args.patience,
-        max_generations=args.max_generations,
-        seed=args.seed,
-    )
+    fields = dataclasses.fields(DesignConfig)
+    config = DesignConfig(**{field.name: getattr(args, field.name) for field in fields})
     report = genetic_local_search(args.n, args.k, args.d, config)
     if args.report is not None:
         doc = {
@@ -251,7 +248,7 @@ def _cmd_design(args: argparse.Namespace) -> None:
             "generations_run": report.generations_run,
             "weight_history": list(report.weight_history),
         }
-        Path(args.report).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_json(args.report, doc)
     if not report.succeeded:
         raise ValueError(
             f"design failed: no complete (n={args.n}, k={args.k}, d={args.d}) codebook "
@@ -284,20 +281,18 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
     }
     if result.witness is not None:
         payload["codebook"] = codebook_document(result.witness)
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
+
+
+def _eval_kwargs(args: argparse.Namespace) -> dict:
+    """The evaluation options `bler_table` and `tradeoff_sweep` share, by name."""
+    return {name: getattr(args, name) for name in ("mode", "trials", "seed", "threads")}
 
 
 def _cmd_bler(args: argparse.Namespace) -> None:
     from .metrics import bler_table
 
-    table = bler_table(
-        load_codebook(args.codebook),
-        args.snr_db,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    table = bler_table(load_codebook(args.codebook), args.snr_db, **_eval_kwargs(args))
     rows = [(r.snr_db, table.mode, r.bler, r.ci95, r.trials) for r in table.rows]
     _write_text(args.out, _csv_text(BLER_COLUMNS, rows))
 
@@ -306,15 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     from .metrics import tradeoff_sweep
 
     books, ids = _load_books(args.codebook)
-    records = tradeoff_sweep(
-        books,
-        args.snr_db,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        threads=args.threads,
-        ids=ids,
-    )
+    records = tradeoff_sweep(books, args.snr_db, ids=ids, **_eval_kwargs(args))
     header = [field.name for field in dataclasses.fields(records[0])]
     rows = [dataclasses.astuple(rec) for rec in records]
     _write_text(args.out, _csv_text(header, rows))
@@ -337,94 +324,98 @@ def _cmd_select(args: argparse.Namespace) -> None:
         "energy_per_time": record.energy_per_time,
         "codebook": codebook_document(book),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
 
 
-def _add_eval_options(sub: argparse.ArgumentParser) -> None:
-    # literals, not metrics' constants, so that building the parser does not
-    # import metrics; tests/test_cli.py keeps the two equal
-    sub.add_argument(
-        "--mode", choices=BLER_MODES, default="theory-dominant",
-        help="BLER evaluation mode (default theory-dominant)",
-    )
-    sub.add_argument(
-        "--trials", type=_positive_int, default=100_000,
-        help="Monte Carlo trials per point in sim mode (default 100000)",
-    )
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="threads over the 16384-trial shards of each Monte Carlo run "
-                     "(default 1); the theory modes ignore it")
+# name: (one-line help, handler)
+COMMANDS = {
+    "design": ("search for a high-density (n, k, d) codebook", _cmd_design),
+    "validate": ("check a codebook file against its declared (n, k, d)", _cmd_validate),
+    "oracle": ("exact optimum for small (n, k, d) by exhaustive search", _cmd_oracle),
+    "bler": ("evaluate BLER of one codebook over an SNR grid", _cmd_bler),
+    "sweep": ("throughput/energy trade-off table for several codebooks", _cmd_sweep),
+    "select": ("pick the best codebook for an operating point", _cmd_select),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The hdcode parser with every command's name and help, and the options
+    of `command` alone, read from the modules that command runs."""
     parser = argparse.ArgumentParser(
         prog="hdcode",
         description="Design and evaluate high-density codebooks for OOK links.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler) in COMMANDS.items():
+        subs.add_parser(name, help=help_text).set_defaults(handler=handler)
+    p = subs.choices.get(command)
 
-    p = subs.add_parser("design", help="search for a high-density (n, k, d) codebook")
-    p.add_argument("-n", "--n", type=int, required=True, help="codeword length")
-    p.add_argument("-k", "--k", type=int, required=True, help="message bits; codebook size is 2**k")
-    p.add_argument("-d", "--d", type=int, required=True, help="minimum Hamming distance")
-    p.add_argument("--report", default=None, metavar="PATH",
-                   help="also write a search report JSON (codebook, ones total, weight history)")
-    p.add_argument("--population-size", type=int, default=10)
-    p.add_argument("--init-size", type=int, nargs=2, default=[1, 5], metavar=("LO", "HI"),
-                   help="initial codebook size range (default 1 5)")
-    p.add_argument("--mutation-rate", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=20,
-                   help="stop after this many generations without progress")
-    p.add_argument("--max-generations", type=int, default=500)
-    p.set_defaults(handler=_cmd_design)
+    if command == "design":
+        from .search import DesignConfig
 
-    p = subs.add_parser("validate", help="check a codebook file against its declared (n, k, d)")
-    p.add_argument("codebook", help="path to a codebook JSON file")
-    p.set_defaults(handler=_cmd_validate)
+        config = DesignConfig()
+        p.add_argument("-n", "--n", type=int, required=True, help="codeword length")
+        p.add_argument("-k", "--k", type=int, required=True,
+                       help="message bits; codebook size is 2**k")
+        p.add_argument("-d", "--d", type=int, required=True, help="minimum Hamming distance")
+        p.add_argument("--report", default=None, metavar="PATH", help="also write a search "
+                       "report JSON (codebook, ones total, weight history)")
+        p.add_argument("--population-size", type=int, default=config.population_size)
+        p.add_argument("--init-size", dest="init_size_range", type=int, nargs=2,
+                       default=config.init_size_range, metavar=("LO", "HI"),
+                       help="initial codebook size range (default %d %d)" % config.init_size_range)
+        p.add_argument("--mutation-rate", type=float, default=config.mutation_rate)
+        p.add_argument("--patience", type=int, default=config.patience,
+                       help="stop after this many generations without progress")
+        p.add_argument("--max-generations", type=int, default=config.max_generations)
+    elif command == "validate":
+        p.add_argument("codebook", help="path to a codebook JSON file")
+    elif command == "oracle":
+        p.add_argument("-n", "--n", type=int, required=True)
+        p.add_argument("-k", "--k", type=int, required=True)
+        p.add_argument("-d", "--d", type=int, required=True)
+    elif command == "bler":
+        p.add_argument("--codebook", required=True, help="path to a codebook JSON file")
+        p.add_argument("--snr-db", type=parse_snr_grid, required=True,
+                       help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'; write a grid that "
+                       "starts below zero as --snr-db=-2:2")
+    elif command == "sweep":
+        p.add_argument("--codebook", action="append", required=True,
+                       help="codebook JSON path; repeat for several")
+        p.add_argument("--snr-db", type=parse_snr_grid, default="0:8:0.5",
+                       help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
+                       "write a grid that starts below zero as --snr-db=-2:2")
+    elif command == "select":
+        p.add_argument("--library", type=_directory, required=True,
+                       help="directory of codebook JSON files, each with a BLER table CSV of the "
+                       "same stem")
+        p.add_argument("--snr-db", type=parse_snr, required=True, help="operating SNR in dB")
+        # the prefixes of metrics.SELECTION_RULES, each with its own wording;
+        # tests/test_cli.py keeps the two equal
+        p.add_argument("--rule", type=parse_rule, required=True,
+                       help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
 
-    p = subs.add_parser("oracle", help="exact optimum for small (n, k, d) by exhaustive search")
-    p.add_argument("-n", "--n", type=int, required=True)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.add_argument("-d", "--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_oracle)
+    if command in ("bler", "sweep"):
+        from .metrics import BLER_MODES, DEFAULT_TRIALS, MODE_THEORY_DOMINANT, SHARD_SIZE
 
-    p = subs.add_parser("bler", help="evaluate BLER of one codebook over an SNR grid")
-    p.add_argument("--codebook", required=True, help="path to a codebook JSON file")
-    p.add_argument("--snr-db", type=parse_snr_grid, required=True,
-                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]'; write a grid that "
-                   "starts below zero as --snr-db=-2:2")
-    _add_eval_options(p)
-    p.set_defaults(handler=_cmd_bler)
-
-    p = subs.add_parser("sweep", help="throughput/energy trade-off table for several codebooks")
-    p.add_argument("--codebook", action="append", required=True,
-                   help="codebook JSON path; repeat for several")
-    p.add_argument("--snr-db", type=parse_snr_grid, default="0:8:0.5",
-                   help="SNR grid in dB: '0,1,2' or 'start:stop[:step]' (default '0:8:0.5'); "
-                   "write a grid that starts below zero as --snr-db=-2:2")
-    _add_eval_options(p)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = subs.add_parser("select", help="pick the best codebook for an operating point")
-    p.add_argument("--library", type=_directory, required=True,
-                   help="directory of codebook JSON files, each with a BLER table CSV of the same stem")
-    p.add_argument("--snr-db", type=parse_snr, required=True, help="operating SNR in dB")
-    # the prefixes of metrics.SELECTION_RULES, spelled out as the --mode choices are
-    p.add_argument("--rule", type=parse_rule, required=True,
-                   help="'qt>=X' (energy floor), 'throughput>=X', or 'bler<=X'")
-    p.set_defaults(handler=_cmd_select)
-
-    for name, p in subs.choices.items():
-        if name in ("design", "bler", "sweep"):
-            p.add_argument("--seed", type=_nonnegative_int, default=0,
-                           help="base RNG seed (default 0)")
+        p.add_argument("--mode", choices=BLER_MODES, default=MODE_THEORY_DOMINANT,
+                       help="BLER evaluation mode (default %(default)s)")
+        p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
+                       help="Monte Carlo trials per point in sim mode (default %(default)s)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help=f"threads over the {SHARD_SIZE}-trial shards of each Monte Carlo "
+                       "run (default 1); the theory modes ignore it")
+    if command in ("design", "bler", "sweep"):
+        p.add_argument("--seed", type=_nonnegative_int, default=0,
+                       help="base RNG seed (default 0)")
+    if p is not None:
         p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     _configure_logging()
     try:
         args.handler(args)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .codebook import Codebook, distance_distribution, total_ones
 from .linksim import (
+    SHARD_SIZE,  # for the cli, which reads the link layer through this module
     ChannelParams,
     simulate_bler,
     theoretical_bler_dominant,

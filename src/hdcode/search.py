@@ -44,9 +44,15 @@ class DesignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "init_size_range", tuple(self.init_size_range))
+        lo, hi = self.init_size_range
+        counts = (("population_size", self.population_size), ("init_size_range", lo),
+                  ("init_size_range", hi), ("patience", self.patience),
+                  ("max_generations", self.max_generations), ("seed", self.seed))
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 2")
-        lo, hi = self.init_size_range
         if not 1 <= lo <= hi:
             raise ValueError("init_size_range must satisfy 1 <= low <= high")
         if not 0.0 < self.mutation_rate < 1.0:

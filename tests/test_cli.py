@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import re
 import subprocess
@@ -455,35 +456,62 @@ class TestProcessLevel:
         assert "trials/s" in loud.stderr
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _option(command, flag):
-    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in subs.choices[command]._actions if flag in a.option_strings)
+    sub = _subparsers(build_parser(command))[command]
+    return next(a for a in sub._actions if flag in a.option_strings)
 
 
-@pytest.mark.parametrize("command", ["bler", "sweep"])
-def test_parser_literals_match_metrics(command):
-    """The parser spells out the metrics constants so that building it imports no metrics."""
-    mode, trials = _option(command, "--mode"), _option(command, "--trials")
-    assert tuple(mode.choices) == metrics.BLER_MODES
-    assert mode.default == metrics.MODE_THEORY_DOMINANT
-    assert trials.default == metrics.DEFAULT_TRIALS
-    assert f"(default {metrics.DEFAULT_TRIALS})" in trials.help
+def test_rule_help_lists_selection_rules():
+    """The --rule help spells out the prefixes of metrics.SELECTION_RULES."""
     rule = _option("select", "--rule")
     assert re.findall(r"'(\S+)X'", rule.help) == [
         spec.prefix for spec in metrics.SELECTION_RULES.values()
     ]
 
 
-def test_parser_defaults_match_design_config():
-    """The design flags spell out DesignConfig's defaults so that building the
-    parser imports no search; each literal equals the field it fills."""
+@pytest.mark.parametrize("argv, target, defaults_of", [
+    (["design", "-n", "3", "-k", "2", "-d", "1"], "hdcode.search.genetic_local_search", None),
+    (["bler", "--codebook", "{book}", "--snr-db", "0"], "hdcode.metrics.bler_table",
+     metrics.bler_table),
+    (["sweep", "--codebook", "{book}"], "hdcode.metrics.tradeoff_sweep", metrics.tradeoff_sweep),
+], ids=["design", "bler", "sweep"])
+def test_defaults_reach_the_library(argv, target, defaults_of, tmp_path, monkeypatch):
+    """With no optional flag, each command hands the library its own defaults:
+    design a DesignConfig(), bler and sweep the mode, trials, seed and threads
+    of their functions' signatures."""
     from hdcode.search import DesignConfig
 
-    args = build_parser().parse_args(["design", "-n", "3", "-k", "2", "-d", "1"])
-    config = DesignConfig()
-    for field in ("population_size", "mutation_rate", "patience", "max_generations", "seed"):
-        assert getattr(args, field) == getattr(config, field), field
-    assert tuple(args.init_size) == config.init_size_range
+    book = tmp_path / "book.json"
+    book.write_text(serialize_codebook(Codebook.from_values(3, 2, 1, [7, 6, 5, 3])))
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(target, record)
+    assert main([a.format(book=book) for a in argv]) == 1
+    [(args, kwargs)] = calls
+    if defaults_of is None:
+        assert args[3] == DesignConfig()
+    else:
+        params = inspect.signature(defaults_of).parameters
+        expected = {name: params[name].default for name in ("mode", "trials", "seed", "threads")}
+        assert {name: kwargs[name] for name in expected} == expected
+
+
+def test_parser_builds_only_the_invoked_commands_options(capsys):
+    for name, sub in _subparsers(build_parser("validate")).items():
+        dests = [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert dests == (["codebook", "out"] if name == "validate" else []), name
+    err = usage_error(["bler", "--codebook", "x", "--snr-db", "0", "--mode", "bogus"], capsys)
+    assert "argument --mode: invalid choice: 'bogus'" in err
+    for mode in metrics.BLER_MODES:
+        assert mode in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -781,6 +781,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DesignConfig(init_size_range=(0, 2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("population_size", 4.0), ("patience", 2.5), ("max_generations", 2.5),
+        ("init_size_range", (1.5, 3)), ("init_size_range", (1, 3.0)), ("seed", True),
+        ("population_size", np.bool_(True)),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        """A float or a bool is refused up front, not failed on (a TypeError from
+        range or a slice) or silently run (seed=True as seed 1)."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DesignConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = DesignConfig(population_size=np.int64(4), init_size_range=(np.int32(1), 3),
+                              patience=np.int64(2), max_generations=np.int16(3), seed=np.int64(7))
+        assert genetic_local_search(3, 2, 1, config).best_ones == 9
+
 
 class TestInitialPopulation:
     def test_sizes_within_clamped_range(self):
