@@ -160,6 +160,19 @@ def _word_array(values: Iterable[int], n: int) -> np.ndarray:
     return np.asarray(values, dtype=np.uint32)
 
 
+def _integer(name: str, value, low: int, bits: int | None = None) -> int:
+    """A count or seed as a Python int, so a numpy unsigned one never wraps, refused by name
+    unless it is an int or numpy integer (not a bool) >= low and, given bits, < 2**bits."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if bits is not None and not low <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be " + (f">= {low}" if low else "a nonnegative integer"))
+    return value
+
+
 def _distance_blocks(book: Codebook) -> Iterator[tuple[int, np.ndarray]]:
     """Pairwise Hamming distances of the codewords, one block of rows at a time.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import MAX_N, Codebook, message_order
+from .codebook import MAX_N, Codebook, _integer, message_order
 
 SHARD_SIZE = 1 << 14
 
@@ -183,12 +183,9 @@ def simulate_bler(
     counts, so the result is the same for any thread count.  The seed is one
     64-bit key word, so it must lie in [0, 2**64).
     """
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    seed = _integer("seed", seed, 0, bits=64)
+    trials = _integer("trials", trials, 1)
+    threads = _integer("threads", threads, 1)
     mod = modulated_matrix(book)
     sigma = params.noise_sigma
     delta = book.min_distance

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, distance_distribution, total_ones
+from .codebook import Codebook, _integer, distance_distribution, total_ones
 from .linksim import (
     SHARD_SIZE,  # for the cli, which reads the link layer through this module
     ChannelParams,
@@ -73,9 +73,8 @@ class BlerRow:
         """The Monte Carlo row of `errors` block errors in `trials`: the BLER is exactly
         errors/trials, and the 95% half-width puts the rule-of-succession proportion
         (errors+1)/(trials+2) in the normal approximation, so it stays positive at 0 errors."""
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= errors <= trials:
+        trials, errors = _integer("trials", trials, 1), _integer("errors", errors, 0)
+        if errors > trials:
             raise ValueError("errors must lie in [0, trials]")
         smoothed = (errors + 1) / (trials + 2)
         half = 1.96 * math.sqrt(smoothed * (1.0 - smoothed) / trials)
@@ -206,12 +205,9 @@ def bler_table(
     distribution of the codebook and need no seed, and so never import
     numpy.random.  ChannelParams checks every point before any is evaluated.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    seed = _integer("seed", seed, 0)
+    trials = _integer("trials", trials, 1)
+    threads = _integer("threads", threads, 1)
     channels = [ChannelParams(ebn0_db=snr) for snr in _sorted_grid(snr_grid)]
     if mode == MODE_SIM:
         errors = [simulate_bler(book, ch, trials, _point_seed(seed, i), threads)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codebook import Codebook
+from .codebook import Codebook, _integer
 
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 3
@@ -34,6 +34,7 @@ def exhaustive_best_codebook(n: int, k: int, d: int) -> OracleResult:
     whole subtrees.  The witness is the first optimum in that scan order,
     which makes the result deterministic.
     """
+    n, k, d = (_integer(name, v, 1) for name, v in zip("nkd", (n, k, d)))
     if n > ORACLE_MAX_N or k > ORACLE_MAX_K:
         raise ValueError(
             f"exhaustive search is capped at n <= {ORACLE_MAX_N} and k <= {ORACLE_MAX_K}"

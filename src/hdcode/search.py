@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, _distance_blocks, finalize, positions_to_mask, total_ones
+from .codebook import Codebook, _distance_blocks, _integer, finalize, positions_to_mask, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -43,26 +43,17 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "init_size_range", tuple(self.init_size_range))
-        lo, hi = self.init_size_range
-        counts = (("population_size", self.population_size), ("init_size_range", lo),
-                  ("init_size_range", hi), ("patience", self.patience),
-                  ("max_generations", self.max_generations), ("seed", self.seed))
-        for name, value in counts:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.population_size < 2 or self.population_size % 2:
+        lo, hi = (_integer("init_size_range", v, 1) for v in self.init_size_range)
+        object.__setattr__(self, "init_size_range", (lo, hi))
+        for name, low in (("population_size", 2), ("patience", 1), ("max_generations", 1),
+                          ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        if self.population_size % 2:
             raise ValueError("population_size must be even and >= 2")
-        if not 1 <= lo <= hi:
+        if lo > hi:
             raise ValueError("init_size_range must satisfy 1 <= low <= high")
         if not 0.0 < self.mutation_rate < 1.0:
             raise ValueError("mutation_rate must lie strictly between 0 and 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -671,6 +662,7 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     extension, and its skipped draws move no other child's.
     """
     config = config or DesignConfig()
+    n, k, d = (_integer(name, v, 1) for name, v in zip("nkd", (n, k, d)))
     Codebook(n=n, k=k, d=d)  # validates the (n, k, d) parameter domain
     seed = config.seed
     population = _local_searched(initial_population(n, k, d, config, _stream(seed, _INIT_STREAM)),

@@ -794,8 +794,12 @@ class TestConfigValidation:
 
     def test_accepts_numpy_integers(self):
         config = DesignConfig(population_size=np.int64(4), init_size_range=(np.int32(1), 3),
-                              patience=np.int64(2), max_generations=np.int16(3), seed=np.int64(7))
+                              patience=np.uint8(2), max_generations=np.int16(3), seed=np.int64(7))
         assert genetic_local_search(3, 2, 1, config).best_ones == 9
+        stored = (config.population_size, *config.init_size_range, config.patience,
+                  config.max_generations, config.seed)
+        assert stored == (4, 1, 3, 2, 3, 7)
+        assert all(type(value) is int for value in stored)
 
 
 class TestInitialPopulation:

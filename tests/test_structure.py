@@ -21,6 +21,9 @@ EXEMPT = {"__init__", "__main__"}
 # Monte Carlo result type that simulate_bler's error count replaced
 UNEXPORTED = ("mutate", "encode", "ml_decode", "GenerationRecord", "Population", "stop_check",
               "parent_probabilities", "SelectionDecision", "BlerEstimate")
+# the text of a refusal of a count or seed that is not an integer, lies below
+# its floor or does not fit its bits
+INTEGER_REFUSALS = ("must be an integer", "must be >= ", "nonnegative integer", "2**64", "2**{")
 
 
 def relative_imports(path):
@@ -50,3 +53,18 @@ def test_exports_resolve_to_their_defining_module():
         assert name not in hdcode.__all__
         with pytest.raises(AttributeError):
             getattr(hdcode, name)
+
+
+def test_integer_refusals_come_from_one_helper():
+    """Every ValueError that refuses a count or seed is raised by codebook._integer."""
+    raisers = set()
+    for path in Path(hdcode.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "ValueError"
+                        and any(text in ast.unparse(node.exc) for text in INTEGER_REFUSALS)):
+                    raisers.add((path.stem, func.name))
+    assert raisers == {("codebook", "_integer")}
