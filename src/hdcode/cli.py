@@ -350,14 +350,15 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         subs.add_parser(name, help=help_text).set_defaults(handler=handler)
     p = subs.choices.get(command)
 
-    if command == "design":
-        from .search import DesignConfig
-
-        config = DesignConfig()
+    if command in ("design", "oracle"):
         p.add_argument("-n", "--n", type=int, required=True, help="codeword length")
         p.add_argument("-k", "--k", type=int, required=True,
                        help="message bits; codebook size is 2**k")
         p.add_argument("-d", "--d", type=int, required=True, help="minimum Hamming distance")
+    if command == "design":
+        from .search import DesignConfig
+
+        config = DesignConfig()
         p.add_argument("--report", default=None, metavar="PATH", help="also write a search "
                        "report JSON (codebook, ones total, weight history)")
         p.add_argument("--population-size", type=int, default=config.population_size)
@@ -370,10 +371,6 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         p.add_argument("--max-generations", type=int, default=config.max_generations)
     elif command == "validate":
         p.add_argument("codebook", help="path to a codebook JSON file")
-    elif command == "oracle":
-        p.add_argument("-n", "--n", type=int, required=True)
-        p.add_argument("-k", "--k", type=int, required=True)
-        p.add_argument("-d", "--d", type=int, required=True)
     elif command == "bler":
         p.add_argument("--codebook", required=True, help="path to a codebook JSON file")
         p.add_argument("--snr-db", type=parse_snr_grid, required=True,

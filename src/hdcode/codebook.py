@@ -29,37 +29,38 @@ class CodebookFormatError(ValueError):
     """A codebook document or value violates the file contract."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Codebook:
     """Distinct length-n words under a (n, k, d) design contract.
 
     The words, given in any order, are stored only as `values`, a read-only
     sorted uint32 copy (MSB first), so codebook equality and hashing are
     structural, over word_bytes.  Construction checks the parameter domain,
-    that every value fits in n bits, and distinctness; the size is left to
-    require_size_target, since the search holds books past 2**k words, and
-    the O(m^2 n) pairwise-distance invariant to validate().
+    n in [1, MAX_N] and k and d in [1, n], each an int or numpy integer and
+    stored as an int, that every value fits in n bits, and distinctness; the
+    size is left to require_size_target, since the search holds books past
+    2**k words, and the O(m^2 n) pairwise-distance invariant to validate().
     """
 
     n: int
     k: int
     d: int
-    values: np.ndarray = ()
+    values: np.ndarray
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
-        if not 0 < self.d <= self.n:
-            raise ValueError(f"d must satisfy 0 < d <= n, got d={self.d} n={self.n}")
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k} n={self.n}")
-        values = np.sort(_word_array(self.values, self.n))  # a copy: no caller aliases it
+    def __init__(self, n: int, k: int, d: int, values: Iterable[int] = ()):
+        # each field is set once, checked: the search builds thousands of books
+        n = _integer("n", n, 1, MAX_N)
+        k, d = _integer("k", k, 1, n), _integer("d", d, 1, n)
+        values = np.sort(_word_array(values, n))  # a copy: no caller aliases it
         step = values[1:] != values[:-1]
         if not step.all():
-            raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{self.n}b}")
-        if values.size and int(values[-1]) >> self.n:
-            raise ValueError(f"codeword values must fit in n={self.n} bits")
+            raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{n}b}")
+        if values.size and int(values[-1]) >> n:
+            raise ValueError(f"codeword values must fit in n={n} bits")
         values.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -160,16 +161,20 @@ def _word_array(values: Iterable[int], n: int) -> np.ndarray:
     return np.asarray(values, dtype=np.uint32)
 
 
-def _integer(name: str, value, low: int, bits: int | None = None) -> int:
-    """A count or seed as a Python int, so a numpy unsigned one never wraps, refused by name
-    unless it is an int or numpy integer (not a bool) >= low and, given bits, < 2**bits."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if bits is not None and not low <= value < 1 << bits:
-        raise ValueError(f"{name} must lie in [{low}, 2**{bits}), got {value}")
-    if value < low:
-        raise ValueError(f"{name} must be " + (f">= {low}" if low else "a nonnegative integer"))
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """A count, seed or parameter as a Python int, so a numpy unsigned one never wraps,
+    refused by name unless it is an int or numpy integer (not a bool) in [low, high],
+    or >= low when high is None.  An int passes the first test alone: the search
+    calls this for every book, mask, anchor, split and mutation position."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be " + (f">= {low}" if low else "a nonnegative integer"))
+    elif not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 
@@ -212,9 +217,7 @@ def positions_to_mask(positions: Iterable[int], n: int) -> int:
     """XOR mask for a set of bit positions, position 0 being the MSB."""
     mask = 0
     for p in set(positions):
-        if not 0 <= p < n:
-            raise ValueError(f"position {p} out of range for n={n}")
-        mask |= 1 << (n - 1 - p)
+        mask |= 1 << (n - 1 - _integer("position", p, 0, n - 1))
     return mask
 
 
@@ -253,20 +256,17 @@ def parse_codebook(text: str) -> Codebook:
     for key in ("n", "k", "d", "codewords"):
         if key not in doc:
             raise CodebookFormatError(f"missing field {key!r}")
-    n, k, d = doc["n"], doc["k"], doc["d"]
-    for name, val in (("n", n), ("k", k), ("d", d)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise CodebookFormatError(f"field {name!r} must be an integer")
     raw = doc["codewords"]
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise CodebookFormatError("field 'codewords' must be a list of bitstrings")
-    for s in raw:
-        if len(s) != n or not set(s) <= {"0", "1"}:
-            raise CodebookFormatError(
-                f"malformed bitstring {s!r}: expected exactly {n} characters over '0'/'1'"
-            )
     try:
-        book = Codebook(n, k, d, tuple(int(s, 2) for s in raw))
+        book = Codebook(doc["n"], doc["k"], doc["d"])  # the parameters, before any word
+        for s in raw:
+            if len(s) != book.n or not set(s) <= {"0", "1"}:
+                raise ValueError(
+                    f"malformed bitstring {s!r}: expected exactly {book.n} characters over '0'/'1'"
+                )
+        book = Codebook(book.n, book.k, book.d, tuple(int(s, 2) for s in raw))
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
     if book.m > book.size_target:

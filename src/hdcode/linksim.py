@@ -183,7 +183,7 @@ def simulate_bler(
     counts, so the result is the same for any thread count.  The seed is one
     64-bit key word, so it must lie in [0, 2**64).
     """
-    seed = _integer("seed", seed, 0, bits=64)
+    seed = _integer("seed", seed, 0, (1 << 64) - 1)
     trials = _integer("trials", trials, 1)
     threads = _integer("threads", threads, 1)
     mod = modulated_matrix(book)

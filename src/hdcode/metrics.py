@@ -73,9 +73,8 @@ class BlerRow:
         """The Monte Carlo row of `errors` block errors in `trials`: the BLER is exactly
         errors/trials, and the 95% half-width puts the rule-of-succession proportion
         (errors+1)/(trials+2) in the normal approximation, so it stays positive at 0 errors."""
-        trials, errors = _integer("trials", trials, 1), _integer("errors", errors, 0)
-        if errors > trials:
-            raise ValueError("errors must lie in [0, trials]")
+        trials = _integer("trials", trials, 1)
+        errors = _integer("errors", errors, 0, trials)
         smoothed = (errors + 1) / (trials + 2)
         half = 1.96 * math.sqrt(smoothed * (1.0 - smoothed) / trials)
         return cls(snr_db, errors / trials, half, trials)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codebook import Codebook, _integer
+import numpy as np
+
+from .codebook import Codebook, _by_weight
 
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 3
@@ -34,14 +36,14 @@ def exhaustive_best_codebook(n: int, k: int, d: int) -> OracleResult:
     whole subtrees.  The witness is the first optimum in that scan order,
     which makes the result deterministic.
     """
-    n, k, d = (_integer(name, v, 1) for name, v in zip("nkd", (n, k, d)))
+    params = Codebook(n, k, d)  # checks the parameters, read back as ints
+    n, k, d = params.n, params.k, params.d
     if n > ORACLE_MAX_N or k > ORACLE_MAX_K:
         raise ValueError(
             f"exhaustive search is capped at n <= {ORACLE_MAX_N} and k <= {ORACLE_MAX_K}"
         )
-    Codebook(n=n, k=k, d=d)  # validates the parameter domain
     need_total = 1 << k
-    candidates = sorted(range(1 << n), key=lambda v: (-v.bit_count(), -v))
+    candidates = _by_weight(np.arange(1 << n, dtype=np.uint32)).tolist()
     weights = [v.bit_count() for v in candidates]
     prefix = [0]
     for w in weights:

@@ -374,9 +374,7 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     full row tables together.  No ball is enumerated word by word.
     """
     n = book.n
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"mask {mask} does not fit in n={n} bits")
-    flip = np.uint32(mask)
+    flip = np.uint32(_integer("mask", mask, 0, (1 << n) - 1))
     if (1 << 2 * n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
         kernel = _table_extend
     else:
@@ -490,12 +488,10 @@ def recombine_pair(
     if (first.n, first.k, first.d) != (second.n, second.k, second.d):
         raise ValueError("parent codebooks must share n, k and d")
     n, k, d = first.n, first.k, first.d
-    if not 0 <= anchor < (1 << n):
-        raise ValueError(f"anchor {anchor} does not fit in n={n} bits")
-    if not 0 <= split <= n + d:
-        raise ValueError(f"split must lie in [0, {n + d}], got {split}")
-    dist_first = np.bitwise_count(first.values ^ np.uint32(anchor))
-    dist_second = np.bitwise_count(second.values ^ np.uint32(anchor))
+    anchor = np.uint32(_integer("anchor", anchor, 0, (1 << n) - 1))
+    split = _integer("split", split, 0, n + d)
+    dist_first = np.bitwise_count(first.values ^ anchor)
+    dist_second = np.bitwise_count(second.values ^ anchor)
 
     def child(own: Codebook, own_dist: np.ndarray, other: Codebook, other_dist: np.ndarray):
         near, far = own_dist <= split - d, other_dist >= split
@@ -662,8 +658,8 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     extension, and its skipped draws move no other child's.
     """
     config = config or DesignConfig()
-    n, k, d = (_integer(name, v, 1) for name, v in zip("nkd", (n, k, d)))
-    Codebook(n=n, k=k, d=d)  # validates the (n, k, d) parameter domain
+    params = Codebook(n, k, d)  # checks the parameters, read back as ints
+    n, k, d = params.n, params.k, params.d
     seed = config.seed
     population = _local_searched(initial_population(n, k, d, config, _stream(seed, _INIT_STREAM)),
                                  config)

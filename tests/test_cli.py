@@ -165,6 +165,16 @@ class TestOracleCommand:
         assert "error: exhaustive search is capped at n <= 6 and k <= 3" in captured.err
         assert captured.out == ""
 
+    def test_parameter_out_of_domain_exit_one(self, capsys):
+        """A d above n is refused by the codebook's own check, and -n/-k/-d carry
+        the design command's help strings."""
+        assert main(["oracle", "-n", "6", "-k", "3", "-d", "7"]) == 1
+        assert capsys.readouterr().err == "error: d must lie in [1, 6], got 7\n"
+        oracle = _subparsers(build_parser("oracle"))["oracle"]
+        helps = {a.dest: a.help for a in oracle._actions if a.dest in ("n", "k", "d")}
+        assert helps == {"n": "codeword length", "k": "message bits; codebook size is 2**k",
+                         "d": "minimum Hamming distance"}
+
 
 class TestBlerCommand:
     @pytest.fixture()

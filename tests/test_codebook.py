@@ -63,7 +63,7 @@ class TestCodebook:
 
     def test_length_out_of_domain_rejected(self):
         for n in (0, 25):
-            with pytest.raises(ValueError, match="n must be in"):
+            with pytest.raises(ValueError, match=rf"^n must lie in \[1, 24\], got {n}$"):
                 Codebook(n, 1, 1)
 
     def test_codewords_canonically_sorted(self):
@@ -242,6 +242,18 @@ class TestSerialization:
             doc = json.dumps({"n": max(len(text), 1), "k": 1, "d": 1, "codewords": [text]})
             with pytest.raises(CodebookFormatError, match="malformed bitstring"):
                 parse_codebook(doc)
+
+    @pytest.mark.parametrize("params, message", [
+        ('"n": "3", "k": 2, "d": 1', "n must be an integer, got '3'"),
+        ('"n": 3.0, "k": 2, "d": 1', "n must be an integer, got 3.0"),
+        ('"n": 30, "k": 2, "d": 1', r"n must lie in \[1, 24\], got 30"),
+        ('"n": 3, "k": 2, "d": 4', r"d must lie in \[1, 3\], got 4"),
+    ], ids=["string", "float", "too-long", "d-above-n"])
+    def test_parameters_refused_before_the_words(self, params, message):
+        """n, k and d are checked as the constructor checks them, before any
+        bitstring is read against n."""
+        with pytest.raises(CodebookFormatError, match=f"^{message}$"):
+            parse_codebook(f'{{{params}, "codewords": ["111"]}}')
 
 
 def brute_first_close_pair(book):

@@ -1,4 +1,4 @@
-"""Every count and seed the library takes is checked in one place.
+"""Every integer parameter the library takes is checked in one place.
 
 Each (entry point, integer parameter) pair accepts a numpy integer as the
 equal Python int, so a numpy unsigned value never wraps in later arithmetic,
@@ -8,12 +8,25 @@ and refuses a bool or a float with a ValueError that names the parameter.
 import numpy as np
 import pytest
 
-from hdcode import Codebook, exhaustive_best_codebook, genetic_local_search
+from hdcode import (
+    Codebook,
+    energy_metrics,
+    exhaustive_best_codebook,
+    extend_codebook,
+    finalize,
+    genetic_local_search,
+    positions_to_mask,
+    recombine_pair,
+    serialize_codebook,
+)
 from hdcode.linksim import SHARD_SIZE, ChannelParams, simulate_bler
 from hdcode.metrics import BlerRow, bler_table
 from hdcode.search import DesignConfig
 
 BOOK = Codebook.from_values(3, 2, 1, [0b111, 0b110, 0b101, 0b011])
+# two (6, 3, 3) books, each of two words at distance 3
+PARENTS = (Codebook.from_values(6, 3, 3, [0b000000, 0b000111]),
+           Codebook.from_values(6, 3, 3, [0b111000, 0b111111]))
 QUICK = {"patience": 2, "max_generations": 4}
 
 
@@ -35,6 +48,17 @@ def sim_table(trials=500, seed=0, threads=2):
 
 # (parameter name, call taking the value, a numpy value of it)
 INTEGER_PARAMETERS = {
+    "Codebook.n": ("n", lambda v: Codebook(v, 2, 1, BOOK.values), np.uint8(3)),
+    "Codebook.k": ("k", lambda v: Codebook(3, v, 1, BOOK.values), np.int64(2)),
+    "Codebook.d": ("d", lambda v: Codebook(3, 2, v, BOOK.values), np.uint16(1)),
+    "extend_codebook.mask": ("mask", lambda v: extend_codebook(PARENTS[0], v), np.uint8(37)),
+    # at this anchor and split the first child takes words of both parents
+    "recombine_pair.anchor": ("anchor", lambda v: recombine_pair(*PARENTS, v, 4),
+                              np.uint16(0b000011)),
+    "recombine_pair.split": ("split", lambda v: recombine_pair(*PARENTS, 0b000011, v),
+                             np.uint8(4)),
+    "positions_to_mask.position": ("position", lambda v: positions_to_mask([0, v], 6),
+                                   np.uint8(4)),
     "DesignConfig.population_size": ("population_size", lambda v: design(population_size=v),
                                      np.uint8(4)),
     "DesignConfig.init_size_range.low": ("init_size_range",
@@ -81,3 +105,18 @@ def test_integer_parameter(name, call, numpy_value):
     for bad in (True, 2.0):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
             call(bad)
+
+
+def test_numpy_parameters_build_the_int_book():
+    """A book given numpy n, k and d holds them as ints, so it extends, serializes
+    and gives energy figures exactly as the book of the equal ints does."""
+    words = [0b0000000000, 0b0000000011]
+    numpy_book = Codebook(np.uint8(10), np.uint8(8), np.uint8(2), words)
+    int_book = Codebook(10, 8, 2, words)
+    assert repr(numpy_book) == repr(int_book)
+    full, int_full = (finalize(extend_codebook(book)) for book in (numpy_book, int_book))
+    assert repr(full) == repr(int_full)
+    assert serialize_codebook(full) == serialize_codebook(int_full)
+    assert energy_metrics(full) == energy_metrics(int_full)
+    small = Codebook(np.int64(6), np.int64(2), np.int64(3), [0])
+    assert extend_codebook(small) == extend_codebook(Codebook(6, 2, 3, [0]))

@@ -1,8 +1,10 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hdcode import exhaustive_best_codebook, total_ones
+from hdcode.codebook import _by_weight
 from hdcode.oracle import ORACLE_MAX_K, ORACLE_MAX_N
 
 
@@ -57,6 +59,12 @@ class TestExhaustiveSearch:
             exhaustive_best_codebook(4, 2, 0)
         with pytest.raises(ValueError):
             exhaustive_best_codebook(4, 2, 5)
+
+    @pytest.mark.parametrize("n", range(1, ORACLE_MAX_N + 1))
+    def test_scan_order_is_heaviest_first_larger_on_ties(self, n):
+        """The oracle scans the words in codebook._by_weight's order."""
+        expected = sorted(range(1 << n), key=lambda v: (-v.bit_count(), -v))
+        assert _by_weight(np.arange(1 << n, dtype=np.uint32)).tolist() == expected
 
     def test_deterministic_witness(self):
         first = exhaustive_best_codebook(4, 2, 2)

@@ -21,9 +21,10 @@ EXEMPT = {"__init__", "__main__"}
 # Monte Carlo result type that simulate_bler's error count replaced
 UNEXPORTED = ("mutate", "encode", "ml_decode", "GenerationRecord", "Population", "stop_check",
               "parent_probabilities", "SelectionDecision", "BlerEstimate")
-# the text of a refusal of a count or seed that is not an integer, lies below
-# its floor or does not fit its bits
-INTEGER_REFUSALS = ("must be an integer", "must be >= ", "nonnegative integer", "2**64", "2**{")
+# the text of a refusal of an integer parameter that is not an integer, lies below
+# its floor or above its ceiling, as a hand-written check would phrase it
+INTEGER_REFUSALS = ("must be an integer", "must be >= ", "nonnegative integer", "2**64", "2**{",
+                    "must be in [", "must satisfy 0 <", "does not fit in n=", "out of range for n=")
 
 
 def relative_imports(path):
@@ -56,7 +57,8 @@ def test_exports_resolve_to_their_defining_module():
 
 
 def test_integer_refusals_come_from_one_helper():
-    """Every ValueError that refuses a count or seed is raised by codebook._integer."""
+    """Every ValueError or CodebookFormatError that refuses an integer parameter is
+    raised by codebook._integer."""
     raisers = set()
     for path in Path(hdcode.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -64,7 +66,8 @@ def test_integer_refusals_come_from_one_helper():
                 continue
             for node in ast.walk(func):
                 if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                        and getattr(node.exc.func, "id", None) == "ValueError"
+                        and getattr(node.exc.func, "id", None) in ("ValueError",
+                                                                    "CodebookFormatError")
                         and any(text in ast.unparse(node.exc) for text in INTEGER_REFUSALS)):
                     raisers.add((path.stem, func.name))
     assert raisers == {("codebook", "_integer")}
