@@ -34,8 +34,8 @@ class Codebook:
     """Distinct length-n words under a (n, k, d) design contract.
 
     The words, given in any order, are stored only as `values`, a read-only
-    sorted uint32 copy (MSB first), so codebook equality and hashing are
-    structural, over word_bytes.  Construction checks the parameter domain,
+    sorted uint32 copy (MSB first), so codebook equality, hashing and order
+    are structural, over values.  Construction checks the parameter domain,
     n in [1, MAX_N] and k and d in [1, n], each an int or numpy integer and
     stored as an int, that every value fits in n bits, and distinctness; the
     size is left to require_size_target, since the search holds books past
@@ -69,13 +69,8 @@ class Codebook:
         return cls(n, k, d, values)
 
     @cached_property
-    def word_bytes(self) -> bytes:
-        """The words as big-endian 4-byte groups.
-
-        Byte order of these strings is the order of the word tuples, a book
-        that is a prefix of another coming first.  Built once per book.
-        """
-        return self.values.astype(">u4").tobytes()
+    def _hash(self) -> int:
+        return hash((self.n, self.k, self.d, self.values.tobytes()))  # once per book
 
     @cached_property
     def min_distance(self) -> int:
@@ -91,12 +86,22 @@ class Codebook:
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
-        return (self.n, self.k, self.d) == (other.n, other.k, other.d) and (
-            self.word_bytes == other.word_bytes
-        )
+        return self._hash == other._hash and (self.n, self.k, self.d, self.m) == (
+            other.n, other.k, other.d, other.m
+        ) and bool((self.values == other.values).all())
 
     def __hash__(self):
-        return hash((self.n, self.k, self.d, self.word_bytes))
+        return self._hash
+
+    def __lt__(self, other):
+        """Word-tuple order: the first differing word decides, a prefix comes first."""
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        a, b = self.values, other.values
+        size = min(a.size, b.size)
+        differ = a[:size] != b[:size]
+        first = differ.argmax() if size else 0
+        return bool(a[first] < b[first]) if size and differ[first] else a.size < b.size
 
     @property
     def m(self) -> int:

@@ -544,10 +544,10 @@ def _ranked(pool: Iterable[Codebook]) -> list[Codebook]:
     than 4**-k, and their floors differ too.
     """
 
-    def key(book: Codebook) -> tuple[int, int, bytes]:
+    def key(book: Codebook) -> tuple[int, int, Codebook]:
         weight = effective_weight(book)
         scaled = (weight.numerator << 2 * book.k) // weight.denominator
-        return -scaled, -book.m, book.word_bytes
+        return -scaled, -book.m, book
 
     return sorted(pool, key=key)
 

@@ -131,11 +131,13 @@ class TestArrayCodebook:
         assert Codebook.from_values(3, 2, 1, raw).values.tolist() == [3, 5]
 
     @given(word_tuples())
-    def test_byte_key_orders_like_tuples(self, pair):
+    def test_books_order_like_word_tuples(self, pair):
         first, second = pair
         a, b = Codebook(24, 3, 1, first), Codebook(24, 3, 1, second)
-        assert (a.word_bytes < b.word_bytes) == (tuple(first) < tuple(second))
-        assert (a.word_bytes == b.word_bytes) == (first == second)
+        assert (a < b) == (tuple(first) < tuple(second))
+        assert (a == b) == (first == second)
+        if a == b:
+            assert hash(a) == hash(b)
 
     @given(st.sets(st.integers(0, (1 << 10) - 1), max_size=30), st.randoms())
     def test_input_order_does_not_matter(self, values, random):

@@ -36,7 +36,8 @@ DESIGN_GOLDEN = [
 
 # n >= 13, where extend_codebook runs the bitset kernels, capped at the pinned generation
 # count with patience equal to it: (18, 4, 6) extends books on both sides of the line
-# between pushing an input book's balls and dilating them, (16, 12, 2) runs the d = 2 waves
+# between pushing an input book's balls and dilating them, (16, 12, 2) runs the d = 2 waves,
+# and (18, 14, 2) ranks books of about 2**17 words against each other for three generations
 BITSET_DESIGN_GOLDEN = [
     ((16, 6, 4), 0, 784, 3, [(784, 4)],
      "59570358449d87e58d5cd7a9b06dd7d81cb3c3b602879e2c5fc3a2fcc0ba6a1c"),
@@ -46,6 +47,8 @@ BITSET_DESIGN_GOLDEN = [
      "03bdb769a3c2dd268390873da4dbe82695796aa54caa67526953a772b0358457"),
     ((16, 12, 2), 0, 46240, 1, [(46240, 2)],
      "382ee140c792f9f00c3b40c13007bc9cb7efd992da700007a05e72acb63a8b73"),
+    ((18, 14, 2), 0, 203346, 3, [(203346, 4)],
+     "8a4373db2c094865db32415f2b0251dcd2a7fa7dfab23833f14e522bd7e3e2c6"),
 ]
 
 # a (7, 3, 3) codebook and its Monte Carlo error counts at seed 7, 40000 trials

@@ -637,7 +637,7 @@ class TestSelectionArithmetic:
             patch.setattr(search, "effective_weight", lambda b: weight[id(b)])
             ranked = search._ranked(books)
             cum = search._parent_cdf(population)
-        reference = sorted(books, key=lambda b: (-weight[id(b)], -b.m, b.word_bytes))
+        reference = sorted(books, key=lambda b: (-weight[id(b)], -b.m, tuple(b.values.tolist())))
         assert [id(b) for b in ranked] == [id(b) for b in reference]
         assert cum == float_cdf(fraction_probabilities(fits))
 
@@ -727,6 +727,33 @@ class TestSelection:
         book = self._book([0b1111])
         with pytest.raises(ValueError):
             selection(Population((book, book)), Population((book,), generation=1))
+
+    @staticmethod
+    def _last_word_pair():
+        """Two 2**16-word books at n = 17 that tie on fitness and size and differ
+        only in their last word, 0xFFFF against 0x1FFFE, both of weight 16."""
+        head = np.arange((1 << 16) - 1, dtype=np.uint32)
+        return [Codebook.from_values(17, 16, 1, np.append(head, np.uint32(last)))
+                for last in (0x1FFFE, 0xFFFF)]
+
+    def test_last_word_breaks_a_tie_in_tuple_order(self):
+        books = self._last_word_pair()
+        assert effective_weight(books[0]) == effective_weight(books[1])
+        reference = sorted(books, key=lambda b: tuple(b.values.tolist()))
+        assert [id(b) for b in search._ranked(books)] == [id(b) for b in reference]
+        assert reference[0].values[-1] == 0xFFFF and books[1] < books[0]
+
+    def test_ranking_keeps_no_copy_of_the_words(self):
+        """Hashing, comparing and ranking books leaves nothing per word behind."""
+        first, second = self._last_word_pair()
+        tracemalloc.start()
+        try:
+            assert hash(first) != hash(second) and first != second
+            search._ranked([first, second])
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / (first.m + second.m) < 0.01
 
 
 class TestStopCheck:
