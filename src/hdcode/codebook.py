@@ -11,8 +11,6 @@ pairwise Hamming distance of d.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,7 +27,6 @@ class CodebookFormatError(ValueError):
     """A codebook document or value violates the file contract."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Codebook:
     """Distinct length-n words under a (n, k, d) design contract.
 
@@ -40,15 +37,16 @@ class Codebook:
     stored as an int, that every value fits in n bits, and distinctness; the
     size is left to require_size_target, since the search holds books past
     2**k words, and the O(m^2 n) pairwise-distance invariant to validate().
+
+    A book stores its slots alone: the four fields, fixed once set, then the
+    hash, min_distance and search.effective_weight, each None until first use.
     """
 
-    n: int
-    k: int
-    d: int
-    values: np.ndarray
+    _FIELDS = ("n", "k", "d", "values")
+    __slots__ = _FIELDS + ("_hash", "_min_distance", "_effective_weight")
 
     def __init__(self, n: int, k: int, d: int, values: Iterable[int] = ()):
-        # each field is set once, checked: the search builds thousands of books
+        # each slot is set once, checked: the search builds thousands of books
         n = _integer("n", n, 1, MAX_N)
         k, d = _integer("k", k, 1, n), _integer("d", d, 1, n)
         values = np.sort(_word_array(values, n))  # a copy: no caller aliases it
@@ -58,39 +56,51 @@ class Codebook:
         if values.size and int(values[-1]) >> n:
             raise ValueError(f"codeword values must fit in n={n} bits")
         values.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "values", values)
+        for name, value in zip(Codebook.__slots__, (n, k, d, values, None, None, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        if name in Codebook._FIELDS:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Codebook, (self.n, self.k, self.d, self.values)  # unpickling checks again
+
+    def __repr__(self):
+        return f"Codebook(n={self.n}, k={self.k}, d={self.d}, values={self.values!r})"
 
     @classmethod
     def from_values(cls, n: int, k: int, d: int, values: Iterable[int]) -> "Codebook":
         """Build from raw integer codeword values; the same as the constructor."""
         return cls(n, k, d, values)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.k, self.d, self.values.tobytes()))  # once per book
-
-    @cached_property
+    @property
     def min_distance(self) -> int:
         """Minimum pairwise Hamming distance of the words, measured once per book.
 
         Construction does not enforce d (validate() does), so a book that was
         never validated may fall below it, and any book may exceed it.
         """
-        if self.m < 2:
-            raise ValueError("min distance is undefined for fewer than 2 codewords")
-        return min(int(block.min()) for _, block in _distance_blocks(self))
+        if self._min_distance is None:
+            if self.m < 2:
+                raise ValueError("min distance is undefined for fewer than 2 codewords")
+            self._min_distance = min(int(block.min()) for _, block in _distance_blocks(self))
+        return self._min_distance
 
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
-        return self._hash == other._hash and (self.n, self.k, self.d, self.m) == (
+        return hash(self) == hash(other) and (self.n, self.k, self.d, self.m) == (
             other.n, other.k, other.d, other.m
         ) and bool((self.values == other.values).all())
 
     def __hash__(self):
+        if self._hash is None:  # once per book
+            self._hash = hash((self.n, self.k, self.d, self.values.tobytes()))
         return self._hash
 
     def __lt__(self, other):

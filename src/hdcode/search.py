@@ -403,11 +403,11 @@ def effective_weight(book: Codebook) -> Fraction:
     codebooks are not favored for bulk alone.
 
     A book never changes, so each weight is computed once per book and kept
-    in the book's instance dict, as functools.cached_property keeps a value.
+    in the slot that Codebook declares for it.
     """
-    weight = vars(book).get("_effective_weight")
+    weight = book._effective_weight
     if weight is None:
-        weight = vars(book)["_effective_weight"] = _weight(book)
+        weight = book._effective_weight = _weight(book)
     return weight
 
 

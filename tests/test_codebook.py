@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hdcode import (
     Codebook,
     CodebookFormatError,
     distance_distribution,
+    effective_weight,
     extend_codebook,
     finalize,
     message_order,
@@ -81,6 +84,39 @@ class TestCodebook:
             (a ^ b).bit_count() for a, b in itertools.combinations(book.values.tolist(), 2)
         )
         assert book.min_distance == naive
+
+
+
+class TestStorage:
+    """A book stores its declared slots alone, and its four fields stay fixed."""
+
+    def test_no_instance_dict_after_every_cached_value(self):
+        book, other = Codebook(4, 2, 2, (0, 3, 5)), Codebook(4, 2, 2, (0, 3))
+        hash(book), book == other, book < other, book.min_distance, effective_weight(book)
+        assert not hasattr(book, "__dict__")
+
+    @pytest.mark.parametrize("field", ["n", "k", "d", "values"])
+    def test_fields_refuse_assignment_and_deletion(self, field):
+        book = Codebook(4, 2, 2, (0, 3))
+        with pytest.raises(AttributeError):
+            setattr(book, field, getattr(book, field))
+        with pytest.raises(AttributeError):
+            delattr(book, field)
+        assert book == Codebook(4, 2, 2, (0, 3))
+
+    @pytest.mark.parametrize("clone", [lambda b: pickle.loads(pickle.dumps(b)), copy.copy,
+                                       copy.deepcopy])
+    def test_pickle_and_copies_give_an_equal_book(self, clone):
+        book = Codebook(5, 2, 2, (0, 3, 12, 29))
+        twin = clone(book)
+        assert twin == book and hash(twin) == hash(book)
+        assert twin.min_distance == book.min_distance == 2
+        assert not twin.values.flags.writeable
+
+    def test_repr(self):
+        assert repr(Codebook(4, 2, 2, (3, 0))) == (
+            "Codebook(n=4, k=2, d=2, values=array([0, 3], dtype=uint32))"
+        )
 
 
 @st.composite

@@ -71,3 +71,17 @@ def test_integer_refusals_come_from_one_helper():
                         and any(text in ast.unparse(node.exc) for text in INTEGER_REFUSALS)):
                     raisers.add((path.stem, func.name))
     assert raisers == {("codebook", "_integer")}
+
+
+def test_only_codebook_declares_a_book_s_state():
+    """No module reads or writes an object's attribute dict through vars(), and
+    object.__setattr__ sets attributes of the object whose method calls it."""
+    for path in Path(hdcode.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            assert getattr(node.func, "id", None) != "vars", f"{path.stem}: {ast.unparse(node)}"
+            if ast.unparse(node.func) == "object.__setattr__":
+                assert getattr(node.args[0], "id", None) == "self", (
+                    f"{path.stem}: {ast.unparse(node)}"
+                )
