@@ -101,22 +101,21 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-# Greedy extension has three kernels, picked by n and d.  For n <= 12 a
-# cached table gives each word's ball as one Python int of 2**n bits, in
-# reverse order: word y at bit 2**n - 1 - y.  Above that the blocked words
-# live in a bitset of uint64 blocks: block j holds words 64j ... 64j + 63,
-# word 64j + b at bit b.  A word's high part (w >> 6) picks its block and
-# its low part (w & 63) its bit.  At d = 2 the blocks are decided in
-# popcount waves, at any other d one block per round.
-BALL_TABLE_BUDGET_BYTES = 1 << 21  # a 2**n-word table takes 2**(2n-3) bytes
+# Greedy extension has two kernels, picked by n and d: the block kernel, on
+# blocks of 2**BLOCK_BITS words, and at d = 2 and n > 12 the popcount waves.
+# The waves and the block kernel's input balls use a bitset of uint64
+# blocks: block j holds words 64j ... 64j + 63, word 64j + b at bit b.
+BLOCK_BITS = 11  # a block's ball table takes 2**(2b-3) bytes, 512 KiB
 _LOW_BITS = 6
-_SPLIT_BITS = 3  # the ball rows are kept per value of this many top bits of a block index
 _FULL = (1 << 64) - 1
+REVERSED_BITS = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _ball_table(n: int, radius: int) -> tuple[int, ...]:
     """Entry x has bit 2**n - 1 - y set for each word y with popcount(x ^ y) <= radius."""
+    if radius >= n:
+        return ((1 << (1 << n)) - 1,) * (1 << n)
     space = Codebook(n, n, 1, np.arange(1 << n, dtype=np.uint32))
     table: list[int] = []
     for start, block in _distance_blocks(space):
@@ -127,19 +126,83 @@ def _ball_table(n: int, radius: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _table_extend(words: np.ndarray, n: int, d: int) -> list[int]:
-    """Greedy's added words for small n: the free words as one int, lowest word at the top bit."""
-    ball = _ball_table(n, d - 1)
-    size = 1 << n
-    blocked = 0
-    for v in words.tolist():
-        blocked |= ball[v]
-    free = blocked ^ ((1 << size) - 1)
-    added = []
-    while free:
-        x = size - free.bit_length()
-        added.append(x)
-        free ^= free & ball[x]
+@lru_cache(maxsize=16)
+def _offset_groups(a: int, radius: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Entry t: a (c, offsets) pair for each popcount c from 1 to radius, the
+    offsets h < 2**a of popcount c whose top set bit is bit t."""
+    return tuple(
+        tuple((c, tuple(h for h in range(1 << t, 2 << t) if h.bit_count() == c))
+              for c in range(1, min(radius, t + 1) + 1))
+        for t in range(a)
+    )
+
+
+def _spread(blocks: list[int], j: int, tops: Iterable[int], groups, balls, picks: list[int],
+            size: int) -> None:
+    """OR the balls of the picks, words of block j, into each block j ^ h, h of
+    popcount c and top set bit in `tops`: balls[c - 1], None at radius 0."""
+    unions = []
+    for ball in balls:
+        union = 0
+        for x in picks:
+            union |= 1 << (size - 1 - x) if ball is None else ball[x]
+        unions.append(union)
+    for t in tops:
+        for c, offsets in groups[t]:
+            union = unions[c - 1]
+            for h in offsets:
+                blocks[j ^ h] |= union
+
+
+def _input_blocks(words: np.ndarray, n: int, b: int, radius: int, own, groups, balls) -> list[int]:
+    """The words within radius of the input words, as the 2**(n - b) block ints.
+
+    One block ORs the words' balls.  More are set on the bitset of _blocked
+    where there is one that cuts into whole blocks, from n = 6 and b = 3;
+    below that each word's ball is ORed into every block it reaches.
+    """
+    a, size = n - b, 1 << b
+    if not a:
+        blocked = 0
+        for x in words.tolist():
+            blocked |= own[x]
+        return [blocked]
+    if n >= _LOW_BITS and b >= 3:
+        data = _blocked(words, n, radius).astype("<u8", copy=False).tobytes().translate(REVERSED_BITS)
+        step = size >> 3
+        return [int.from_bytes(data[i:i + step], "big") for i in range(0, len(data), step)]
+    blocks = [0] * (1 << a)
+    for x in words.tolist():
+        j, low = x >> b, x & (size - 1)
+        blocks[j] |= own[low]
+        _spread(blocks, j, range(a), groups, balls, [low], size)
+    return blocks
+
+
+def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
+    """Greedy's added words, one block of 2**b words, b = min(n, BLOCK_BITS), at a time."""
+    b = min(n, BLOCK_BITS)
+    a, size, radius = n - b, 1 << b, d - 1
+    full = (1 << size) - 1
+    own = _ball_table(b, radius)
+    groups = _offset_groups(a, radius)
+    balls = [_ball_table(b, radius - c) if c < radius else None
+             for c in range(1, min(radius, a) + 1)]
+    blocks = _input_blocks(words, n, b, radius, own, groups, balls)
+    added: list[int] = []
+    for j, block in enumerate(blocks):
+        if block == full:
+            continue
+        free = block ^ full
+        picks = []
+        while free:
+            x = size - free.bit_length()
+            picks.append(x)
+            free ^= free & own[x]
+        base = j << b
+        added.extend([base | x for x in picks] if base else picks)
+        if balls:
+            _spread(blocks, j, [t for t in range(a) if not j >> t & 1], groups, balls, picks, size)
     return added
 
 
@@ -155,12 +218,6 @@ def _low_balls() -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1)
-def _low_ball_ints() -> tuple[int, ...]:
-    """Row x of _low_balls() as one int, column s at bits 64s ... 64s + 63."""
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in _low_balls().astype("<u8"))
-
-
 @lru_cache(maxsize=8)
 def _popcount_waves(n: int) -> tuple[np.ndarray, ...]:
     """The block indices of 2**(n-6) blocks, one array per popcount from 0 to n - 6."""
@@ -173,33 +230,20 @@ def _popcount_waves(n: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _ball_rows(n: int, radius: int) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The blocks h of the radius ball around 0, sorted by s = min(6, radius - popcount(h)).
+def _ball_rows(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 blocks h of the radius ball around 0, sorted by s = min(6, radius - popcount(h)).
 
-    The ball around x is that ball translated by XOR: in block h ^ j,
-    j = x >> 6, it holds the low parts within s of x & 63.  Once the greedy
-    scan reaches block j every block below it is full, and h ^ j < j exactly
-    when the top set bit of h is set in j.  Returns (shift, subsets):
-    subsets[j >> shift] holds the rows (int64), less the rows whose top set
-    bit is one of the top _SPLIT_BITS bits of j and is set in j, and the
-    count of its rows at each s from 0 to 6, so that np.repeat(row of
-    _low_balls(), counts) gives each row its low-part set.  subsets[0] holds
-    every row.
+    The ball around x is that ball translated by XOR: in block h ^ (x >> 6)
+    it holds the low parts within s of x & 63.  Returns the rows (int64)
+    and the count of rows at each s from 0 to 6, so that np.repeat(row of
+    _low_balls(), counts) gives each row its low-part set.
     """
     rows = np.concatenate(_popcount_waves(n)[radius::-1])
     column = np.minimum(radius - np.bitwise_count(rows), _LOW_BITS)
-    shift = max(n - _LOW_BITS - _SPLIT_BITS, 0)
-    top_bit = np.array([1 << v.bit_length() >> 1 for v in range(1 << (n - _LOW_BITS - shift))],
-                       dtype=np.uint8)
-    lead = top_bit[rows >> shift]
-    subsets = []
-    for prefix in range(len(top_bit)):
-        keep = (lead & prefix) == 0
-        subset = rows[keep], np.bincount(column[keep], minlength=_LOW_BITS + 1)
-        for part in subset:
-            part.setflags(write=False)
-        subsets.append(subset)
-    return shift, tuple(subsets)
+    counts = np.bincount(column, minlength=_LOW_BITS + 1)
+    for part in rows, counts:
+        part.setflags(write=False)
+    return rows, counts
 
 
 def _high_dilate(bits: np.ndarray) -> np.ndarray:
@@ -235,7 +279,7 @@ def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
 def _pushed_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
     """The bitset of _balls_bitset, built by writing each word's whole ball, one step a word."""
     bits = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint64)
-    rows, counts = _ball_rows(n, radius)[1][0]
+    rows, counts = _ball_rows(n, radius)
     balls = _low_balls()
     for x in values.tolist():
         bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].repeat(counts)
@@ -249,47 +293,10 @@ def _blocked(words: np.ndarray, n: int, radius: int) -> np.ndarray:
     of n - 6 passes over the bitset; a row write costs about as much as 4
     pass elements.
     """
-    rows = _ball_rows(n, radius)[1][0][0]
+    rows = _ball_rows(n, radius)[0]
     if 4 * len(words) * len(rows) < radius * (n - _LOW_BITS) << (n - _LOW_BITS):
         return _pushed_bitset(words, n, radius)
     return _balls_bitset(words, n, radius)
-
-
-def _bitset_extend(words: np.ndarray, n: int, d: int) -> list[int]:
-    """Greedy's added words for n >= 6, over 2**(n-6) uint64 blocks, one block per round."""
-    shift, subsets = _ball_rows(n, d - 1)
-    balls, ball_ints = _low_balls(), _low_ball_ints()
-    keep = [~ball & _FULL for ball in balls[:, min(_LOW_BITS, d - 1)].tolist()]
-    bits = _blocked(words, n, d - 1)
-    full = np.uint64(_FULL)
-    added: list[int] = []
-    j = 0
-    while j < len(bits):
-        block = bits.item(j)
-        if block == _FULL:
-            j += int((bits[j:] != full).argmax())
-            block = bits.item(j)
-            if block == _FULL:
-                break
-        free = ~block & _FULL
-        lows = []
-        union = 0
-        while free:
-            low = (free & -free).bit_length() - 1
-            lows.append(low)
-            union |= ball_ints[low]
-            free &= keep[low]
-        base = j << _LOW_BITS
-        added.extend([base | low for low in lows])
-        # at large d nearly every block takes one pick, whose row is a view
-        if len(lows) == 1:
-            ball = balls[lows[0]]
-        else:
-            ball = np.frombuffer(union.to_bytes(8 * (_LOW_BITS + 1), "little"), "<u8")
-        rows, counts = subsets[j >> shift]
-        bits[rows ^ j] |= ball.repeat(counts)
-        j += 1
-    return added
 
 
 def _wave_extend(words: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -332,53 +339,43 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     flipped once, a kernel returns the words x that greedy adds in that
     frame, and the output book is built once from the input and each x ^ mask.
 
-    While a table of 2**n balls fits BALL_TABLE_BUDGET_BYTES (n <= 12), the
-    free words are one 2**n-bit int: the input words' balls are cleared from
-    it, then the lowest free word x is added and its ball cleared, until no
-    word is free.  The int holds word y at bit 2**n - 1 - y, so the lowest
-    free word is read off its bit_length, and clearing the low words first
-    shortens the int every later step works on.  The table is built once
-    per (n, d-1) and the last 8 stay cached.
+    The block kernel cuts the 2**n words into 2**a blocks of 2**b words,
+    b = min(n, BLOCK_BITS) and a = n - b: block j holds the words j * 2**b
+    + y, y < 2**b.  Each block's free words are one Python int of 2**b bits
+    with word y at bit 2**b - 1 - y, so the lowest free word is read off its
+    bit_length, and a pick x clears its ball with free ^= free & ball[x].
+    The balls within a block come from a table of 2**b ints per radius,
+    2**(2b-3) bytes (512 KiB at b = 11), built once per (b, radius) and
+    cached; radius 0 is a word's own bit and needs no table, and from
+    radius b on a ball is the whole block.  Up to n = 11 there is one block:
+    the input words' balls are cleared from it, then the lowest free word is
+    added and its ball cleared, until no word is free.
 
-    Above that the blocked words, those within d-1 of a member, are the set
-    bits of a bitset of 2**(n-6) uint64 blocks.  The ball around x is the
-    ball around 0 translated by XOR: each of its blocks h gets one 64-bit
-    low-part set from a (64, 7) table, at row x & 63 and column min(6, d-1 -
-    popcount(h)), ORed into block h ^ j, j = x >> 6.  The rows h are kept
-    sorted by that column, with the count of rows in each, so a word's whole
-    ball is one write, bits[rows ^ j] |= np.repeat(its table row, counts).
-    The input book's balls are set so, word by word, while that costs less
-    than d-1 rounds of hypercube dilation over the whole bitset: while
-    m * rows < (d-1) * (n-6) * 2**(n-6) / 4.
+    Above that the ball of radius d-1 around a pick x in block j reaches
+    block j ^ h, for each h of popcount c <= d-1, in the words within
+    d-1-c of x's own bits.  The input book's balls are set on a bitset of
+    2**(n-6) uint64 blocks, word by word or by d-1 rounds of hypercube
+    dilation, whichever costs less, and the bitset's bytes, bit-reversed,
+    become the block ints.  The scan then takes the blocks in ascending
+    order and skips the full ones.  A block picks its free words greedily,
+    then for each c ORs its picks' radius d-1-c balls together and ORs
+    that union into the blocks j ^ h above j, the h of popcount c whose top
+    set bit is clear in j; the blocks below j are already decided.  The
+    offsets h are kept per (a, d-1), grouped by popcount and top bit.
+    Memory is the tables, the 2**n / 8 bytes of block ints and, while the
+    input is blocked, the bitset.
 
-    At d = 2 the blocks are decided in waves, all blocks of popcount 0, then
-    1, and so on.  A radius-1 ball reaches from block j only the blocks
-    j ^ (1 << i), and the later of two such blocks has the larger popcount,
-    so each wave sees the picks of every earlier block that reaches it.  A
-    wave runs the lowest-first greedy on all its blocks' free masks at once,
-    each pick clearing its own-block ball, then ORs its picks into the
-    blocks j | 1 << i.
-
-    At any other d each round takes the lowest block j that is not full.
-    Its free words are picked greedily on a Python int, each pick x clearing
-    its own-block ball, the low parts within min(6, d-1) of x & 63.  The
-    picks of block j share j, so their low-part sets are ORed together, each
-    pick's 7 columns as one Python int, and written to the other blocks in
-    one step.  A pick reaches its own block only through h = 0, and block j
-    is full once its picks are made, so the round moves on to block j + 1,
-    scanning for the next block that is not full only from a full one.  The
-    blocks below j are full too, so the rows h with h ^ j below j need no
-    write: the row table is kept in 8 subsets, one per value of the top 3
-    bits of j, each leaving out the rows it can tell land below.  Memory is
-    O(2**(n-6)): the bitset and the subsets, at 8 bytes per row about 4.5
-    full row tables together.  No ball is enumerated word by word.
+    At d = 2 and n > 12 the blocks are decided on the uint64 bitset in
+    waves, all blocks of popcount 0, then 1, and so on.  A radius-1 ball
+    reaches from block j only the blocks j ^ (1 << i), and the later of two
+    such blocks has the larger popcount, so each wave sees the picks of
+    every earlier block that reaches it.  A wave runs the lowest-first
+    greedy on all its blocks' free masks at once, each pick clearing its
+    own-block ball, then ORs its picks into the blocks j | 1 << i.
     """
     n = book.n
     flip = np.uint32(_integer("mask", mask, 0, (1 << n) - 1))
-    if (1 << 2 * n) >> 3 <= BALL_TABLE_BUDGET_BYTES:
-        kernel = _table_extend
-    else:
-        kernel = _wave_extend if book.d == 2 else _bitset_extend
+    kernel = _wave_extend if book.d == 2 and n > 12 else _block_extend
     added = np.array(kernel(book.values ^ flip, n, book.d), dtype=np.uint32) ^ flip
     return Codebook.from_values(n, book.k, book.d, np.concatenate((book.values, added)))
 

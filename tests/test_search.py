@@ -87,13 +87,10 @@ def ball_scatter_extend(book, mask=0):
     return Codebook.from_values(n, book.k, d, values)
 
 
-TABLE, BITSET = 1 << 62, 0  # ball-table budgets that force each kernel
-
-
-def forced_extend(budget, book, mask=0):
-    """extend_codebook under a ball-table budget, TABLE or BITSET, that picks one kernel."""
+def forced_extend(bits, book, mask=0):
+    """extend_codebook with the block kernel's blocks forced to 2**bits words."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "BALL_TABLE_BUDGET_BYTES", budget)
+        patch.setattr(search, "BLOCK_BITS", bits)
         return extend_codebook(book, mask)
 
 
@@ -113,9 +110,9 @@ def small_books(draw, n, k, d):
 
 @st.composite
 def seed_books(draw, min_n=1, max_n=13):
-    """Valid books of 0 to 16 words at n <= 13, on both sides of the n = 6/7
-    switch from one bitset block to many and of the n = 12/13 switch from
-    the ball table to the bitset, at any distance."""
+    """Valid books of 0 to 16 words at n <= 13, on both sides of the n = 11/12
+    switch from one block to many and of the n = 12/13 switch to the d = 2
+    waves, at any distance."""
     n = draw(st.integers(min_n, max_n))
     d = draw(st.integers(1, n))
     raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
@@ -124,13 +121,15 @@ def seed_books(draw, min_n=1, max_n=13):
 
 @st.composite
 def block_kernel_cases(draw):
-    """A valid book of 0 to 16 words and a mask at n = 6 ... 14, with d = 1
-    and d = n drawn as often as any other distance."""
-    n = draw(st.integers(6, 14))
+    """A valid book of 0 to 16 words, a mask, 0 as often as any other, and a
+    forced block size of 2**bits words, bits = 1 ... n - 1, at n = 2 ... 14,
+    with d = 1 and d = n drawn as often as any other distance."""
+    n = draw(st.integers(2, 14))
     d = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     raw = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
-    mask = draw(st.integers(0, (1 << n) - 1))
-    return Codebook.from_values(n, 3, d, greedy_filter(n, d, raw)), mask
+    mask = draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
+    bits = draw(st.integers(1, n - 1))
+    return Codebook.from_values(n, min(3, n), d, greedy_filter(n, d, raw)), mask, bits
 
 
 @st.composite
@@ -231,7 +230,9 @@ class TestExtend:
 
     def test_bounded_memory_at_n24(self):
         # a radius-11 ball holds 7.0 M of the 16.8 M words; the bitset has
-        # 2**18 uint64 blocks, 2 MiB
+        # 2**18 uint64 blocks, 2 MiB, and so have the 2**13 block ints; the
+        # ten ball tables of radius 1 to 10, 512 KiB of bits each, are built and counted
+        search._ball_table.cache_clear()
         tracemalloc.start()
         try:
             book = extend_codebook(Codebook(n=24, k=3, d=12))
@@ -255,23 +256,26 @@ class TestExtend:
 
 
 class TestExtendKernels:
-    """The ball-table and bitset kernels, each forced through extend_codebook where it can run.
+    """The block kernel at forced block sizes, and the d = 2 waves.
 
-    By default extend_codebook only reaches the bitset kernels at n >= 13, so
-    these tests keep them covered from one block (n = 6) up: the popcount
-    waves at d = 2 and the block-per-round kernel at any other d.
+    By default the block kernel works on one block up to n = 11, so these
+    tests force blocks of 2**bits words, bits = 1 ... n - 1, to run its
+    multi-block paths from n = 2 up: input balls pushed word by word or set
+    on the uint64 bitset, and picks spread to the blocks above.
     """
 
     @classmethod
     def teardown_class(cls):
-        search._ball_table.cache_clear()  # n = 13 tables take 8 MiB each
+        search._ball_table.cache_clear()  # a forced b = 13 table takes 8 MiB
+        search._offset_groups.cache_clear()
 
-    @given(seed_books(min_n=6))
+    @given(seed_books(min_n=6), st.data())
     @settings(max_examples=120, deadline=None)
-    def test_both_kernels_match_ball_scatter(self, book):
+    def test_both_kernels_match_ball_scatter(self, book, data):
+        """The default kernel and the block kernel at a forced block size."""
         expected = ball_scatter_extend(book)
-        assert forced_extend(TABLE, book) == expected
-        assert forced_extend(BITSET, book) == expected
+        assert extend_codebook(book) == expected
+        assert forced_extend(data.draw(st.integers(1, book.n - 1)), book) == expected
 
     @given(seed_books(min_n=6), st.data())
     @settings(max_examples=120, deadline=None)
@@ -279,27 +283,28 @@ class TestExtendKernels:
         mask = data.draw(st.integers(0, (1 << book.n) - 1))
         positions = mask_positions(mask, book.n)
         expected = mutate(ball_scatter_extend(mutate(book, positions)), positions)
-        assert forced_extend(TABLE, book, mask) == expected
-        assert forced_extend(BITSET, book, mask) == expected
+        assert extend_codebook(book, mask) == expected
+        assert forced_extend(data.draw(st.integers(1, book.n - 1)), book, mask) == expected
 
     @given(block_kernel_cases())
     @settings(max_examples=150, deadline=None)
     def test_block_kernel_matches_ball_scatter(self, case):
-        book, mask = case
-        assert forced_extend(BITSET, book, mask) == ball_scatter_extend(book, mask)
+        book, mask, bits = case
+        assert forced_extend(bits, book, mask) == ball_scatter_extend(book, mask)
 
-    @pytest.mark.parametrize("n,d", [(13, 2), (14, 2), (13, 7), (14, 7), (14, 9)])
+    @pytest.mark.parametrize("n,d", [(12, 2), (13, 2), (14, 2), (13, 7), (14, 7), (14, 9)])
     def test_block_kernel_with_many_or_one_pick_per_block(self, n, d):
-        """At d = 2 an empty book's blocks each take 32 words, one round per
-        block; from d = 7 the own-block ball covers the block, so each takes
-        at most one."""
+        """In blocks of 64 words, at d = 2 an empty book's blocks each take 32
+        words, from the block kernel at n = 12 and from the waves above; from
+        d = 7 a pick's own-block ball covers its block, so each takes at most
+        one."""
         rng = np.random.default_rng(n * 16 + d)
-        picks = np.bincount(forced_extend(BITSET, Codebook(n=n, k=3, d=d)).values >> 6)
+        picks = np.bincount(forced_extend(6, Codebook(n=n, k=3, d=d)).values >> 6)
         assert picks.max() == (32 if d == 2 else 1)
         seeded = greedy_filter(n, d, rng.integers(0, 1 << n, size=12).tolist())
         for book in (Codebook(n=n, k=3, d=d), Codebook.from_values(n, 3, d, seeded)):
             mask = int(rng.integers(0, 1 << n))
-            assert forced_extend(BITSET, book, mask) == ball_scatter_extend(book, mask)
+            assert forced_extend(6, book, mask) == ball_scatter_extend(book, mask)
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -310,33 +315,38 @@ class TestExtendKernels:
         raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
         book = Codebook.from_values(n, 3, 2, greedy_filter(n, 2, raw))
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        extended = forced_extend(BITSET, book, mask)
+        extended = extend_codebook(book, mask)
         assert extended == ball_scatter_extend(book, mask)
         added = np.setdiff1d(extended.values, book.values) ^ np.uint32(mask)
         assert np.bincount(added >> 6).max() > 1
 
-    @given(seed_books(max_n=5))
+    @given(seed_books(max_n=5), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_table_kernel_below_one_block(self, book):
-        assert forced_extend(TABLE, book) == ball_scatter_extend(book)
+    def test_table_kernel_below_one_block(self, book, data):
+        """Below a 64-word bitset block: one block, and blocks of 2 to 16 words."""
+        assert extend_codebook(book) == ball_scatter_extend(book)
+        if book.n > 1:
+            bits = data.draw(st.integers(1, book.n - 1))
+            assert forced_extend(bits, book) == ball_scatter_extend(book)
 
-    @pytest.mark.parametrize(
-        "n,radius", [(6, 3), (7, 1), (8, 2), (9, 5), (10, 3), (11, 2), (14, 4)]
-    )
-    def test_ball_rows_leave_out_only_blocks_below(self, n, radius):
-        """Every ball row h with h ^ j >= j is kept for block j; a left-out row
-        lands below j, in a block that is already full.  Subset 0 keeps every
-        row, and the counts give each row its radius column."""
-        shift, subsets = search._ball_rows(n, radius)
-        ball = [h for h in range(1 << (n - 6)) if h.bit_count() <= radius]
-        assert sorted(subsets[0][0].tolist()) == ball
-        for j in range(1 << (n - 6)):
-            rows, counts = subsets[j >> shift]
-            kept = rows.tolist()
-            assert {h for h in ball if h ^ j >= j} <= set(kept) <= set(ball)
-            assert len(counts) == 7 and counts.sum() == len(kept)
-            columns = np.repeat(np.arange(7), counts).tolist()
-            assert columns == [min(6, radius - h.bit_count()) for h in kept]
+    @pytest.mark.parametrize("a", range(9))
+    def test_offset_groups_reach_exactly_the_blocks_above(self, a):
+        """For block j the groups at its clear bits hold each offset h with
+        1 <= popcount(h) <= radius and j ^ h > j once, and no other: each
+        pick's ball reaches every later block once and no earlier one."""
+        for radius in range(a + 1):
+            groups = search._offset_groups(a, radius)
+            assert len(groups) == a
+            for j in range(1 << a):
+                reached = [
+                    (c, h)
+                    for t in range(a) if not j >> t & 1
+                    for c, offsets in groups[t]
+                    for h in offsets
+                ]
+                expected = [h for h in range(1, 1 << a) if h.bit_count() <= radius and j ^ h > j]
+                assert sorted(h for _, h in reached) == expected
+                assert all(h.bit_count() == c for c, h in reached)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -345,7 +355,7 @@ class TestExtendKernels:
         from pushed to dilated, either way sets the same bits."""
         n = data.draw(st.integers(13, 18))
         radius = data.draw(st.integers(1, 7))
-        rows = len(search._ball_rows(n, radius)[1][0][0])
+        rows = len(search._ball_rows(n, radius)[0])
         line = (radius * (n - 6) << (n - 6)) // (4 * rows)
         m = data.draw(st.integers(0, 2 * line + 1))
         words = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
@@ -358,7 +368,7 @@ class TestExtendKernels:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_waves_match_block_kernel(self, data):
-        """The d = 2 waves add the words the block-per-round kernel adds, from a
+        """The d = 2 waves add the words the block kernel adds, from a
         random book and again from a random half of the extended book."""
         n = data.draw(st.integers(13, 16))
         raw = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
@@ -366,7 +376,7 @@ class TestExtendKernels:
         words = np.array(greedy_filter(n, 2, raw), dtype=np.uint32) ^ mask
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         for _ in range(2):
-            added = search._bitset_extend(words, n, 2)
+            added = search._block_extend(words, n, 2)
             assert sorted(search._wave_extend(words, n, 2).tolist()) == sorted(added)
             extended = np.concatenate((words, np.array(added, dtype=np.uint32)))
             words = extended[rng.random(len(extended)) < 0.5]
