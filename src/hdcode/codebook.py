@@ -23,6 +23,9 @@ MAX_N = 24  # exhaustive 2**n scans stay tractable below this
 DISTANCE_BUDGET_BYTES = 1 << 20
 
 
+_set = object.__setattr__  # a slot past Codebook's own refusal to assign a field
+
+
 class CodebookFormatError(ValueError):
     """A codebook document or value violates the file contract."""
 
@@ -51,13 +54,18 @@ class Codebook:
         k, d = _integer("k", k, 1, n), _integer("d", d, 1, n)
         values = np.sort(_word_array(values, n))  # a copy: no caller aliases it
         step = values[1:] != values[:-1]
-        if not step.all():
+        if np.count_nonzero(step) < step.size:
             raise ValueError(f"duplicate codeword {int(values[step.argmin()]):0{n}b}")
         if values.size and int(values[-1]) >> n:
             raise ValueError(f"codeword values must fit in n={n} bits")
         values.setflags(write=False)
-        for name, value in zip(Codebook.__slots__, (n, k, d, values, None, None, None)):
-            object.__setattr__(self, name, value)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "d", d)
+        _set(self, "values", values)
+        _set(self, "_hash", None)
+        _set(self, "_min_distance", None)
+        _set(self, "_effective_weight", None)
 
     def __setattr__(self, name, value):
         if name in Codebook._FIELDS:
@@ -96,7 +104,7 @@ class Codebook:
             return NotImplemented
         return hash(self) == hash(other) and (self.n, self.k, self.d, self.m) == (
             other.n, other.k, other.d, other.m
-        ) and bool((self.values == other.values).all())
+        ) and self.values.tobytes() == other.values.tobytes()
 
     def __hash__(self):
         if self._hash is None:  # once per book

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,20 +85,118 @@ class SearchReport:
         return self.best is not None
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator derived from (seed, key...) so phases can run in parallel.
-
-    The generator of SeedSequence([seed, *key]), which splits each int into
-    little-endian 32-bit words, 0 as one word.  Handing it those words as a
-    uint32 array gives the same entropy and skips its slow list conversion.
-    """
+def _words(*values: int) -> list[int]:
+    """The entropy of SeedSequence(values): each int as little-endian 32-bit words, 0 as one."""
     words = []
-    for value in (seed, *key):
+    for value in values:
         words.append(value & 0xFFFFFFFF)
         while value := value >> 32:
             words.append(value & 0xFFFFFFFF)
-    entropy = np.array(words, dtype=np.uint32)
+    return words
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator derived from (seed, key...) so phases can run in parallel.
+
+    The generator of SeedSequence([seed, *key]).  Handing it the words as a
+    uint32 array gives the same entropy and skips its slow list conversion.
+    """
+    entropy = np.array(_words(seed, *key), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+# SeedSequence's constants: its pool of 4 uint32 words, the two hash constants'
+# starts and multipliers and the mixer's two multipliers
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(start: int, multiplier: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of `count` consecutive hashes, as two uint32 arrays.
+
+    A hash XORs its value with the running constant, steps the constant by
+    `multiplier` and multiplies the value by the new constant.
+    """
+    xors, products = [], []
+    for _ in range(count):
+        xors.append(start)
+        start = start * multiplier & 0xFFFFFFFF
+        products.append(start)
+    return np.array(xors, dtype=np.uint32), np.array(products, dtype=np.uint32)
+
+
+def _hash(values: np.ndarray, xors: np.ndarray, products: np.ndarray) -> np.ndarray:
+    values = (values ^ xors) * products
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_L - y * _MIX_R
+    return mixed ^ mixed >> 16
+
+
+def _mixed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's generate_state(4, np.uint64) of each row of a (rows, words) uint32 array.
+
+    O'Neill's seed_seq_fe, as numpy runs it, on every row at once: the
+    first 4 words are hashed into the pool, each pool word is hashed into
+    the 3 others, each further word is hashed into all 4, and the state is
+    the pool hashed twice over.  Every hash takes the next hash constant,
+    the same for every row, so each step is one uint32 array operation.
+    """
+    words = entropy.shape[1]
+    xors, products = _hash_constants(_INIT_A, _MULT_A, words * _POOL)
+    pool = _hash(entropy[:, :_POOL], xors[:_POOL], products[:_POOL])
+    at = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        step = slice(at, at + _POOL - 1)
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None], xors[step], products[step]))
+        at += _POOL - 1
+    for src in range(_POOL, words):
+        step = slice(at, at + _POOL)
+        pool = _mix(pool, _hash(entropy[:, src, None], xors[step], products[step]))
+        at += _POOL
+    state = _hash(np.tile(pool, 2), *_hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def _seed_states(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row i: SeedSequence(rows[i]).generate_state(4, np.uint64), for rows of at least
+    4 uint32 words; the rows of each word count are mixed together."""
+    states = np.empty((len(rows), _POOL), dtype="<u8")
+    for words in {len(row) for row in rows}:
+        picks = [i for i, row in enumerate(rows) if len(row) == words]
+        states[picks] = _mixed_states(np.array([rows[i] for i in picks], dtype=np.uint32))
+    return states
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed state computed ahead, handed to PCG64 as its SeedSequence would hand it."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.state  # PCG64 asks for generate_state(4, np.uint64)
+
+
+def _mutation_states(seed: int, size: int, last: int) -> Iterator[np.ndarray]:
+    """The (size, 4) seed states of _stream(seed, 1, generation, index), index < size, for
+    generation 0, 1, ... last in turn, computed a chunk of generations at a time.
+
+    A chunk holds 8 generations, then 16, 32 and so on, none more than
+    `last`, so a run that stops early has computed at most about twice the
+    generations it ran, 32 bytes per child per generation.
+    """
+    start, span = 0, 8
+    while start <= last:
+        stop = min(start + span, last + 1)
+        rows = [_words(seed, _MUTATION_STREAM, generation, index)
+                for generation in range(start, stop) for index in range(size)]
+        yield from _seed_states(rows).reshape(stop - start, size, _POOL)
+        start, span = stop, min(2 * span, last)
 
 
 # Greedy extension has two kernels, picked by n and d: the block kernel, on
@@ -155,18 +253,13 @@ def _spread(blocks: list[int], j: int, tops: Iterable[int], groups, balls, picks
 
 
 def _input_blocks(words: np.ndarray, n: int, b: int, radius: int, own, groups, balls) -> list[int]:
-    """The words within radius of the input words, as the 2**(n - b) block ints.
+    """The words within radius of the input words, as the 2**(n - b) block ints, n > b.
 
-    One block ORs the words' balls.  More are set on the bitset of _blocked
-    where there is one that cuts into whole blocks, from n = 6 and b = 3;
-    below that each word's ball is ORed into every block it reaches.
+    They are set on the bitset of _blocked where there is one that cuts
+    into whole blocks, from n = 6 and b = 3; below that each word's ball is
+    ORed into every block it reaches.
     """
     a, size = n - b, 1 << b
-    if not a:
-        blocked = 0
-        for x in words.tolist():
-            blocked |= own[x]
-        return [blocked]
     if n >= _LOW_BITS and b >= 3:
         data = _blocked(words, n, radius).astype("<u8", copy=False).tobytes().translate(REVERSED_BITS)
         step = size >> 3
@@ -179,12 +272,27 @@ def _input_blocks(words: np.ndarray, n: int, b: int, radius: int, own, groups, b
     return blocks
 
 
+def _greedy(free: int, own, size: int) -> list[int]:
+    """The lowest free word of a block, again and again, each pick clearing its ball."""
+    picks = []
+    while free:
+        x = size - free.bit_length()
+        picks.append(x)
+        free ^= free & own[x]
+    return picks
+
+
 def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
     """Greedy's added words, one block of 2**b words, b = min(n, BLOCK_BITS), at a time."""
     b = min(n, BLOCK_BITS)
     a, size, radius = n - b, 1 << b, d - 1
     full = (1 << size) - 1
     own = _ball_table(b, radius)
+    if not a:  # one block: the words' balls and the picks' are read from own alone
+        blocked = 0
+        for x in words.tolist():
+            blocked |= own[x]
+        return _greedy(blocked ^ full, own, size)
     groups = _offset_groups(a, radius)
     balls = [_ball_table(b, radius - c) if c < radius else None
              for c in range(1, min(radius, a) + 1)]
@@ -193,12 +301,7 @@ def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
     for j, block in enumerate(blocks):
         if block == full:
             continue
-        free = block ^ full
-        picks = []
-        while free:
-            x = size - free.bit_length()
-            picks.append(x)
-            free ^= free & own[x]
+        picks = _greedy(block ^ full, own, size)
         base = j << b
         added.extend([base | x for x in picks] if base else picks)
         if balls:
@@ -374,7 +477,7 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     own-block ball, then ORs its picks into the blocks j | 1 << i.
     """
     n = book.n
-    flip = np.uint32(_integer("mask", mask, 0, (1 << n) - 1))
+    flip = _integer("mask", mask, 0, (1 << n) - 1)
     kernel = _wave_extend if book.d == 2 and n > 12 else _block_extend
     added = np.array(kernel(book.values ^ flip, n, book.d), dtype=np.uint32) ^ flip
     return Codebook.from_values(n, book.k, book.d, np.concatenate((book.values, added)))
@@ -485,16 +588,17 @@ def recombine_pair(
     if (first.n, first.k, first.d) != (second.n, second.k, second.d):
         raise ValueError("parent codebooks must share n, k and d")
     n, k, d = first.n, first.k, first.d
-    anchor = np.uint32(_integer("anchor", anchor, 0, (1 << n) - 1))
+    anchor = _integer("anchor", anchor, 0, (1 << n) - 1)
     split = _integer("split", split, 0, n + d)
     dist_first = np.bitwise_count(first.values ^ anchor)
     dist_second = np.bitwise_count(second.values ^ anchor)
 
     def child(own: Codebook, own_dist: np.ndarray, other: Codebook, other_dist: np.ndarray):
         near, far = own_dist <= split - d, other_dist >= split
-        if near.all() and not far.any():
+        taken = np.count_nonzero(near), np.count_nonzero(far)
+        if taken == (own.m, 0):
             return own
-        if far.all() and not near.any():
+        if taken == (0, other.m):
             return other
         return Codebook.from_values(
             n, k, d, np.concatenate((own.values[near], other.values[far]))
@@ -564,8 +668,9 @@ def selection(parents: Population, children: Population) -> Population:
         raise ValueError("parents and children must have the same size")
     pool = list(dict.fromkeys(parents.codebooks + children.codebooks))
     ranked = _ranked(pool)
-    complete = [b for b in ranked if b.is_complete]
-    incomplete = [b for b in ranked if not b.is_complete]
+    complete, incomplete = [], []
+    for book in ranked:
+        (complete if book.is_complete else incomplete).append(book)
     reserved = min(len(complete), p // 2)
     chosen = complete[:reserved] + incomplete[:p - reserved]
     chosen += complete[reserved:][:p - len(chosen)]
@@ -608,14 +713,18 @@ def stop_check(history: Sequence[GenerationRecord], config: DesignConfig) -> boo
 
 
 def _local_searched(
-    population: Population, config: DesignConfig, parents: Population | None = None
+    population: Population, config: DesignConfig, states: np.ndarray,
+    parents: Population | None = None,
 ) -> Population:
     """Every book through local_search, at positions drawn from (seed, generation, index).
 
-    A book that is itself one of `parents` is kept as it is.  Every book the
-    search keeps came out of extend_codebook and so is maximal, whatever the
-    mask, and extending it again would return an equal book.  Each book's
-    draws are keyed by its index alone, so skipping one moves no other's.
+    Book i draws from the generator _stream(seed, 1, generation, i) would
+    give, built on row i of `states`, the generation's seed states from
+    _mutation_states.  A book that is itself one of `parents` is kept as it
+    is.  Every book the search keeps came out of extend_codebook and so is
+    maximal, whatever the mask, and extending it again would return an equal
+    book.  Each book's draws are keyed by its index alone, so skipping one
+    moves no other's.
     """
     finished = set() if parents is None else {id(book) for book in parents.codebooks}
     books = []
@@ -623,7 +732,7 @@ def _local_searched(
         if id(book) in finished:
             books.append(book)
             continue
-        rng = _stream(config.seed, _MUTATION_STREAM, population.generation, idx)
+        rng = np.random.Generator(np.random.PCG64(_SeedState(states[idx])))
         positions = np.flatnonzero(rng.random(book.n) < config.mutation_rate).tolist()
         books.append(local_search(book, positions))
     return Population(tuple(books), population.generation)
@@ -658,14 +767,16 @@ def genetic_local_search(n: int, k: int, d: int, config: DesignConfig | None = N
     params = Codebook(n, k, d)  # checks the parameters, read back as ints
     n, k, d = params.n, params.k, params.d
     seed = config.seed
+    states = _mutation_states(seed, config.population_size, config.max_generations)
     population = _local_searched(initial_population(n, k, d, config, _stream(seed, _INIT_STREAM)),
-                                 config)
+                                 config, next(states))
     history = [record_generation(population)]
     best, best_ones = _best_complete(population, None, None)
     while not stop_check(history, config):
         gen = population.generation + 1
         children = recombination(population, _stream(seed, _RECOMBINE_STREAM, gen))
-        population = selection(population, _local_searched(children, config, population))
+        population = selection(population,
+                               _local_searched(children, config, next(states), population))
         history.append(record_generation(population))
         best, best_ones = _best_complete(population, best, best_ones)
         logger.debug(

@@ -32,6 +32,11 @@ DESIGN_GOLDEN = [
     ((10, 5, 3), 2, 204, 78,
      [(198, 13), (199, 12), (200, 10), (202, 9), (203, 14), (204, 21)],
      "65ff17accc461055960c9ca84cc9f1de568c0e3c1655a4872564ef1067eae7b3"),
+    # seeds of two and three 32-bit words: each mutation stream's entropy is 5 and 6 words
+    ((10, 5, 3), 1 << 32, 204, 45, [(199, 3), (200, 15), (202, 7), (204, 21)],
+     "82345be840250ba45970372e6c72d04863b953830d0f784182a7f612bf418f32"),
+    ((10, 5, 3), (1 << 64) + 5, 204, 63, [(200, 8), (201, 15), (202, 20), (204, 21)],
+     "dab87e62cbc99a1147e02e7b0445ad89b0aca55c2bb624ce127306f4003de9cf"),
 ]
 
 # n >= 13, where extend_codebook runs the bitset kernels, capped at the pinned generation

@@ -855,9 +855,10 @@ class TestInitialPopulation:
             book.validate()
 
 
-def extend_every_child(population, config, parents=None):
-    """Reference local search: every book extended, its parents ignored, and
-    the mutation positions drawn from SeedSequence([seed, 1, generation, index])."""
+def extend_every_child(population, config, states, parents=None):
+    """Reference local search: every book extended, its parents and precomputed
+    seed states ignored, and the mutation positions drawn from
+    SeedSequence([seed, 1, generation, index])."""
     books = []
     for idx, book in enumerate(population.codebooks):
         entropy = [config.seed, 1, population.generation, idx]
@@ -903,6 +904,47 @@ class TestGeneticLocalSearch:
         entropy = np.random.SeedSequence([seed, *key])
         expected = np.random.Generator(np.random.PCG64(entropy)).random(4)
         assert _stream(seed, *key).random(4).tolist() == expected.tolist()
+
+    @given(st.lists(st.lists(st.integers(0, (1 << 32) - 1), min_size=4, max_size=8),
+                    min_size=1, max_size=12))
+    @example([search._words(1 << 32, 1, 7, index) for index in range(3)])
+    @example([search._words((1 << 64) + 5, 1, generation, 1) for generation in range(3)])
+    @example([search._words(3, 1, generation, 0) for generation in (0, (1 << 32) - 1, 1 << 32)])
+    def test_seed_states_match_seed_sequence(self, rows):
+        """The chunk mixer gives each row SeedSequence's state, rows of several
+        word counts mixed in one call among them."""
+        expected = [np.random.SeedSequence(row).generate_state(4, np.uint64).tolist()
+                    for row in rows]
+        assert search._seed_states(rows).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1 << 32, (1 << 64) + 5])
+    def test_mutation_states_draw_as_streams(self, seed):
+        """Across the chunks of 8, 16 and 17 generations up to generation 40."""
+        generations = list(search._mutation_states(seed, 2, 40))
+        assert len(generations) == 41
+        for generation, states in enumerate(generations):
+            for index, state in enumerate(states):
+                rng = np.random.Generator(np.random.PCG64(search._SeedState(state)))
+                expected = _stream(seed, 1, generation, index).random(4)
+                assert rng.random(4).tolist() == expected.tolist()
+
+    def test_seed_states_only_for_generations_run(self, monkeypatch):
+        """Patience stops a run capped at 10**12 generations, whose seed states
+        would take 320 TB at once: the run computes them for at most twice the
+        generations it ran, and its peak stays under 128 KiB."""
+        genetic_local_search(7, 3, 3, DesignConfig(max_generations=5))  # tables cached
+        mixer, rows = search._seed_states, []
+        monkeypatch.setattr(search, "_seed_states", lambda chunk: rows.append(len(chunk))
+                            or mixer(chunk))
+        tracemalloc.start()
+        try:
+            report = genetic_local_search(7, 3, 3, DesignConfig(max_generations=10**12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.generations_run < 100
+        assert sum(rows) <= 2 * 10 * (report.generations_run + 1)
+        assert peak < 128 << 10
 
     @pytest.mark.parametrize(
         "n,k,d,generations",
