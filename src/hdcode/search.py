@@ -201,7 +201,7 @@ def _mutation_states(seed: int, size: int, last: int) -> Iterator[np.ndarray]:
 
 # Greedy extension has two kernels, picked by n and d: the block kernel, on
 # blocks of 2**BLOCK_BITS words, and at d = 2 and n > 12 the popcount waves.
-# The waves and the block kernel's input balls use a bitset of uint64
+# The waves and the block kernel's large input books use a bitset of uint64
 # blocks: block j holds words 64j ... 64j + 63, word 64j + b at bit b.
 BLOCK_BITS = 11  # a block's ball table takes 2**(2b-3) bytes, 512 KiB
 _LOW_BITS = 6
@@ -255,20 +255,31 @@ def _spread(blocks: list[int], j: int, tops: Iterable[int], groups, balls, picks
 def _input_blocks(words: np.ndarray, n: int, b: int, radius: int, own, groups, balls) -> list[int]:
     """The words within radius of the input words, as the 2**(n - b) block ints, n > b.
 
-    They are set on the bitset of _blocked where there is one that cuts
-    into whole blocks, from n = 6 and b = 3; below that each word's ball is
-    ORed into every block it reaches.
+    A small book's words are grouped by block: each word ORs its own-block
+    ball into its block, and each group is spread as the scan spreads a
+    block's picks, but to every block its balls reach, since none is
+    decided yet.  That costs at most an OR per word and reached block;
+    dilating on the uint64 bitset of _balls_bitset costs radius rounds of
+    n - 6 passes over its 2**(n - 6) elements.  A book is spread while its
+    ORs number under 1/16 of those pass elements, and is dilated otherwise,
+    the bitset's bytes, bit-reversed, becoming the block ints.  Below n = 6
+    or b = 3 there is no bitset, so every book is spread.
     """
     a, size = n - b, 1 << b
-    if n >= _LOW_BITS and b >= 3:
-        data = _blocked(words, n, radius).astype("<u8", copy=False).tobytes().translate(REVERSED_BITS)
+    reach = 1 + sum(math.comb(a, c) for c in range(1, min(radius, a) + 1))
+    if (n >= _LOW_BITS and b >= 3
+            and 16 * len(words) * reach >= radius * (n - _LOW_BITS) << (n - _LOW_BITS)):
+        data = _balls_bitset(words, n, radius).astype("<u8", copy=False).tobytes().translate(REVERSED_BITS)
         step = size >> 3
         return [int.from_bytes(data[i:i + step], "big") for i in range(0, len(data), step)]
     blocks = [0] * (1 << a)
+    lows: dict[int, list[int]] = {}
     for x in words.tolist():
         j, low = x >> b, x & (size - 1)
         blocks[j] |= own[low]
-        _spread(blocks, j, range(a), groups, balls, [low], size)
+        lows.setdefault(j, []).append(low)
+    for j, group in lows.items():
+        _spread(blocks, j, range(a), groups, balls, group, size)
     return blocks
 
 
@@ -332,23 +343,6 @@ def _popcount_waves(n: int) -> tuple[np.ndarray, ...]:
     return waves
 
 
-@lru_cache(maxsize=8)
-def _ball_rows(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 blocks h of the radius ball around 0, sorted by s = min(6, radius - popcount(h)).
-
-    The ball around x is that ball translated by XOR: in block h ^ (x >> 6)
-    it holds the low parts within s of x & 63.  Returns the rows (int64)
-    and the count of rows at each s from 0 to 6, so that np.repeat(row of
-    _low_balls(), counts) gives each row its low-part set.
-    """
-    rows = np.concatenate(_popcount_waves(n)[radius::-1])
-    column = np.minimum(radius - np.bitwise_count(rows), _LOW_BITS)
-    counts = np.bincount(column, minlength=_LOW_BITS + 1)
-    for part in rows, counts:
-        part.setflags(write=False)
-    return rows, counts
-
-
 def _high_dilate(bits: np.ndarray) -> np.ndarray:
     """OR every block with the blocks whose index differs from its own in one bit."""
     out = bits.copy()
@@ -379,29 +373,6 @@ def _balls_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
     return bits
 
 
-def _pushed_bitset(values: np.ndarray, n: int, radius: int) -> np.ndarray:
-    """The bitset of _balls_bitset, built by writing each word's whole ball, one step a word."""
-    bits = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint64)
-    rows, counts = _ball_rows(n, radius)
-    balls = _low_balls()
-    for x in values.tolist():
-        bits[rows ^ (x >> _LOW_BITS)] |= balls[x & 63].repeat(counts)
-    return bits
-
-
-def _blocked(words: np.ndarray, n: int, radius: int) -> np.ndarray:
-    """The input book's blocked words: its balls pushed while that is cheaper than dilating.
-
-    Pushing costs a write per ball row of each word, dilating radius rounds
-    of n - 6 passes over the bitset; a row write costs about as much as 4
-    pass elements.
-    """
-    rows = _ball_rows(n, radius)[0]
-    if 4 * len(words) * len(rows) < radius * (n - _LOW_BITS) << (n - _LOW_BITS):
-        return _pushed_bitset(words, n, radius)
-    return _balls_bitset(words, n, radius)
-
-
 def _wave_extend(words: np.ndarray, n: int, d: int) -> np.ndarray:
     """Greedy's added words at d = 2 for n >= 6, deciding all blocks of one popcount at once.
 
@@ -411,7 +382,7 @@ def _wave_extend(words: np.ndarray, n: int, d: int) -> np.ndarray:
     words the counter-order scan gives them, and each picks its words by
     the lowest-first greedy, all of them together on uint64 arrays.
     """
-    bits = _blocked(words, n, d - 1)
+    bits = _balls_bitset(words, n, 1)
     # the own-block clear mask of the pick at each bit, and no-op entry 64 for a block with none
     clear = np.append(~_low_balls()[:, 1], np.uint64(_FULL))
     one = np.uint64(1)
@@ -456,17 +427,19 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
 
     Above that the ball of radius d-1 around a pick x in block j reaches
     block j ^ h, for each h of popcount c <= d-1, in the words within
-    d-1-c of x's own bits.  The input book's balls are set on a bitset of
-    2**(n-6) uint64 blocks, word by word or by d-1 rounds of hypercube
-    dilation, whichever costs less, and the bitset's bytes, bit-reversed,
+    d-1-c of x's own bits.  A small input book's balls are ORed into the
+    block ints the way the scan ORs its picks' balls, below, but into every
+    block they reach.  A larger book's are set on a bitset of 2**(n-6)
+    uint64 blocks by d-1 rounds of hypercube dilation, whichever costs
+    less, and the bitset's bytes, bit-reversed,
     become the block ints.  The scan then takes the blocks in ascending
     order and skips the full ones.  A block picks its free words greedily,
     then for each c ORs its picks' radius d-1-c balls together and ORs
     that union into the blocks j ^ h above j, the h of popcount c whose top
     set bit is clear in j; the blocks below j are already decided.  The
     offsets h are kept per (a, d-1), grouped by popcount and top bit.
-    Memory is the tables, the 2**n / 8 bytes of block ints and, while the
-    input is blocked, the bitset.
+    Memory is the tables, the 2**n / 8 bytes of block ints and, while a
+    large input book is dilated, the bitset.
 
     At d = 2 and n > 12 the blocks are decided on the uint64 bitset in
     waves, all blocks of popcount 0, then 1, and so on.  A radius-1 ball

@@ -39,10 +39,11 @@ DESIGN_GOLDEN = [
      "dab87e62cbc99a1147e02e7b0445ad89b0aca55c2bb624ce127306f4003de9cf"),
 ]
 
-# n >= 13, where extend_codebook runs the bitset kernels, capped at the pinned generation
-# count with patience equal to it: (18, 4, 6) extends books on both sides of the line
-# between pushing an input book's balls and dilating them, (16, 12, 2) runs the d = 2 waves,
-# and (18, 14, 2) ranks books of about 2**17 words against each other for three generations
+# n >= 16, where extend_codebook works on many 2,048-word blocks, capped at the pinned
+# generation count with patience equal to it: (18, 4, 6) extends books on both sides of the
+# line between spreading an input book's balls block by block and dilating them on the
+# bitset, (16, 12, 2) runs the d = 2 waves, and (18, 14, 2) ranks books of about 2**17
+# words against each other for three generations
 BITSET_DESIGN_GOLDEN = [
     ((16, 6, 4), 0, 784, 3, [(784, 4)],
      "59570358449d87e58d5cd7a9b06dd7d81cb3c3b602879e2c5fc3a2fcc0ba6a1c"),

@@ -94,6 +94,18 @@ def forced_extend(bits, book, mask=0):
         return extend_codebook(book, mask)
 
 
+def counted_calls(monkeypatch, name):
+    """Patch search.<name> to note its first argument's length at each call; returns the notes."""
+    sizes, original = [], getattr(search, name)
+
+    def counted(*args):
+        sizes.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(search, name, counted)
+    return sizes
+
+
 def greedy_filter(n, d, values):
     kept = []
     for v in values:
@@ -260,8 +272,9 @@ class TestExtendKernels:
 
     By default the block kernel works on one block up to n = 11, so these
     tests force blocks of 2**bits words, bits = 1 ... n - 1, to run its
-    multi-block paths from n = 2 up: input balls pushed word by word or set
-    on the uint64 bitset, and picks spread to the blocks above.
+    multi-block paths from n = 2 up: an input book's balls spread to every
+    block they reach or, for a large book from n = 6 and 8-word blocks,
+    dilated on the uint64 bitset, and picks spread to the blocks above.
     """
 
     @classmethod
@@ -348,22 +361,42 @@ class TestExtendKernels:
                 assert sorted(h for _, h in reached) == expected
                 assert all(h.bit_count() == c for c, h in reached)
 
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_pushed_balls_match_dilated_balls(self, data):
-        """On both sides of the book size at which the input book's balls go
-        from pushed to dilated, either way sets the same bits."""
-        n = data.draw(st.integers(13, 18))
-        radius = data.draw(st.integers(1, 7))
-        rows = len(search._ball_rows(n, radius)[0])
-        line = (radius * (n - 6) << (n - 6)) // (4 * rows)
-        m = data.draw(st.integers(0, 2 * line + 1))
-        words = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
-            0, 1 << n, size=m, dtype=np.uint32
-        )
-        expected = search._balls_bitset(words, n, radius)
-        assert np.array_equal(search._pushed_bitset(words, n, radius), expected)
-        assert np.array_equal(search._blocked(words, n, radius), expected)
+    @pytest.mark.parametrize("n, radius", [(12, 1), (13, 2), (16, 3), (18, 5), (18, 6), (20, 3)])
+    def test_input_blocks_match_scattered_balls(self, n, radius, monkeypatch):
+        """Below and from `line`, the smallest book whose balls are dilated on
+        the bitset rather than spread block by block, the block ints hold
+        exactly the words within radius of the book, packed MSB-first from
+        its balls scattered on a bool array of all 2**n words."""
+        b = search.BLOCK_BITS
+        a, size = n - b, 1 << b
+        own = search._ball_table(b, radius)
+        groups = search._offset_groups(a, radius)
+        balls = [search._ball_table(b, radius - c) if c < radius else None
+                 for c in range(1, min(radius, a) + 1)]
+        reach = sum(math.comb(a, c) for c in range(min(radius, a) + 1))
+        line = -(-(radius * (n - 6) << (n - 6)) // (16 * reach))
+        dilated = counted_calls(monkeypatch, "_balls_bitset")
+        masks = ball_masks(n, radius)
+        rng = np.random.default_rng(n * 8 + radius)
+        for m in 0, 1, line - 1, line, line + 1, 2 * line:
+            words = rng.integers(0, 1 << n, size=m, dtype=np.uint32)
+            blocked = np.zeros(1 << n, dtype=bool)
+            for x in words:
+                blocked[masks ^ x] = True
+            data = np.packbits(blocked).tobytes()
+            expected = [int.from_bytes(data[i:i + size // 8], "big")
+                        for i in range(0, len(data), size // 8)]
+            before = len(dilated)
+            assert search._input_blocks(words, n, b, radius, own, groups, balls) == expected
+            assert len(dilated) - before == (m >= line)
+
+    def test_design_run_spreads_and_dilates_input_books(self, monkeypatch):
+        """The three-generation (18, 4, 6) run that test_golden pins blocks
+        some input books by spreading and some by dilating."""
+        calls = counted_calls(monkeypatch, "_input_blocks")
+        dilated = counted_calls(monkeypatch, "_balls_bitset")
+        genetic_local_search(18, 4, 6, DesignConfig(seed=0, max_generations=3, patience=3))
+        assert 0 < len(dilated) < len(calls)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
