@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codebook import Codebook, _distance_blocks, _integer, finalize, positions_to_mask, total_ones
+from .codebook import Codebook, _integer, finalize, positions_to_mask, total_ones
 
 logger = logging.getLogger("hdcode.search")
 
@@ -211,16 +211,20 @@ REVERSED_BITS = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 @lru_cache(maxsize=16)
 def _ball_table(n: int, radius: int) -> tuple[int, ...]:
-    """Entry x has bit 2**n - 1 - y set for each word y with popcount(x ^ y) <= radius."""
-    if radius >= n:
-        return ((1 << (1 << n)) - 1,) * (1 << n)
-    space = Codebook(n, n, 1, np.arange(1 << n, dtype=np.uint32))
-    table: list[int] = []
-    for start, block in _distance_blocks(space):
-        close = block <= radius
-        close[np.arange(len(close)), np.arange(start, start + len(close))] = True
-        packed = np.packbits(close[:, ::-1], axis=1, bitorder="little")
-        table.extend(int.from_bytes(row, "little") for row in packed)
+    """Entry x has bit 2**n - 1 - y set for each word y with popcount(x ^ y) <= radius.
+
+    Entry 0 is the words of popcount <= radius.  Word y sits at bit
+    (2**n - 1) ^ y, so with s the lowest set bit of x > 0, entry x is entry
+    x ^ s with each pair of bits whose positions differ in s swapped.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    lows = {s: full // ((1 << 2 * s) - 1) * ((1 << s) - 1) for s in (1 << i for i in range(n))}
+    table = [int("".join("1" if y.bit_count() <= radius else "0" for y in range(size)), 2)]
+    for x in range(1, size):
+        s = x & -x
+        ball, low = table[x ^ s], lows[s]
+        table.append(ball >> s & low | (ball & low) << s)
     return tuple(table)
 
 
@@ -235,15 +239,14 @@ def _offset_groups(a: int, radius: int) -> tuple[tuple[tuple[int, tuple[int, ...
     )
 
 
-def _spread(blocks: list[int], j: int, tops: Iterable[int], groups, balls, picks: list[int],
-            size: int) -> None:
+def _spread(blocks: list[int], j: int, tops: Iterable[int], groups, balls, picks: list[int]) -> None:
     """OR the balls of the picks, words of block j, into each block j ^ h, h of
-    popcount c and top set bit in `tops`: balls[c - 1], None at radius 0."""
+    popcount c and top set bit in `tops`: balls[c - 1]."""
     unions = []
     for ball in balls:
         union = 0
         for x in picks:
-            union |= 1 << (size - 1 - x) if ball is None else ball[x]
+            union |= ball[x]
         unions.append(union)
     for t in tops:
         for c, offsets in groups[t]:
@@ -279,7 +282,7 @@ def _input_blocks(words: np.ndarray, n: int, b: int, radius: int, own, groups, b
         blocks[j] |= own[low]
         lows.setdefault(j, []).append(low)
     for j, group in lows.items():
-        _spread(blocks, j, range(a), groups, balls, group, size)
+        _spread(blocks, j, range(a), groups, balls, group)
     return blocks
 
 
@@ -305,8 +308,7 @@ def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
             blocked |= own[x]
         return _greedy(blocked ^ full, own, size)
     groups = _offset_groups(a, radius)
-    balls = [_ball_table(b, radius - c) if c < radius else None
-             for c in range(1, min(radius, a) + 1)]
+    balls = [_ball_table(b, radius - c) for c in range(1, min(radius, a) + 1)]
     blocks = _input_blocks(words, n, b, radius, own, groups, balls)
     added: list[int] = []
     for j, block in enumerate(blocks):
@@ -316,17 +318,19 @@ def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
         base = j << b
         added.extend([base | x for x in picks] if base else picks)
         if balls:
-            _spread(blocks, j, [t for t in range(a) if not j >> t & 1], groups, balls, picks, size)
+            _spread(blocks, j, [t for t in range(a) if not j >> t & 1], groups, balls, picks)
     return added
 
 
 @lru_cache(maxsize=1)
 def _low_balls() -> np.ndarray:
-    """(64, 7) uint64 table: entry [x, s] sets bit y for each y with popcount(x ^ y) <= s."""
-    low = np.arange(1 << _LOW_BITS, dtype=np.uint64)
-    dist = np.bitwise_count(low[:, None] ^ low[None, :])
-    bits = np.uint64(1) << low
-    columns = [(bits * (dist <= s)).sum(axis=1, dtype=np.uint64) for s in range(_LOW_BITS + 1)]
+    """(64, 7) uint64 table: entry [x, s] sets bit y for each y with popcount(x ^ y) <= s.
+
+    Column s is the uncached _ball_table(6, s), each int's 64 bits reversed."""
+    columns = []
+    for s in range(_LOW_BITS + 1):
+        data = b"".join(ball.to_bytes(8, "big") for ball in _ball_table.__wrapped__(_LOW_BITS, s))
+        columns.append(np.frombuffer(data.translate(REVERSED_BITS), dtype="<u8"))
     table = np.stack(columns, axis=1)
     table.setflags(write=False)
     return table
@@ -418,28 +422,24 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     + y, y < 2**b.  Each block's free words are one Python int of 2**b bits
     with word y at bit 2**b - 1 - y, so the lowest free word is read off its
     bit_length, and a pick x clears its ball with free ^= free & ball[x].
-    The balls within a block come from a table of 2**b ints per radius,
-    2**(2b-3) bytes (512 KiB at b = 11), built once per (b, radius) and
-    cached; radius 0 is a word's own bit and needs no table, and from
-    radius b on a ball is the whole block.  Up to n = 11 there is one block:
-    the input words' balls are cleared from it, then the lowest free word is
-    added and its ball cleared, until no word is free.
+    The balls within a block come from a table of 2**b ints per radius, 0
+    too, 512 KiB at b = 11, built by bit swaps, not pairwise distances, and
+    cached, up to 14 at b = 11 (d = 24, n = 24).  Up to n = 11 there is one
+    block: the input words' balls are cleared from it, then the lowest free
+    word is added and its ball cleared, until no word is free.
 
     Above that the ball of radius d-1 around a pick x in block j reaches
     block j ^ h, for each h of popcount c <= d-1, in the words within
     d-1-c of x's own bits.  A small input book's balls are ORed into the
     block ints the way the scan ORs its picks' balls, below, but into every
-    block they reach.  A larger book's are set on a bitset of 2**(n-6)
-    uint64 blocks by d-1 rounds of hypercube dilation, whichever costs
-    less, and the bitset's bytes, bit-reversed,
-    become the block ints.  The scan then takes the blocks in ascending
-    order and skips the full ones.  A block picks its free words greedily,
-    then for each c ORs its picks' radius d-1-c balls together and ORs
-    that union into the blocks j ^ h above j, the h of popcount c whose top
-    set bit is clear in j; the blocks below j are already decided.  The
-    offsets h are kept per (a, d-1), grouped by popcount and top bit.
-    Memory is the tables, the 2**n / 8 bytes of block ints and, while a
-    large input book is dilated, the bitset.
+    block they reach; a larger book's are dilated on a bitset of 2**(n-6)
+    uint64 blocks, whose bytes, bit-reversed, become the block ints.  The
+    scan takes the blocks in ascending order and skips the full ones.  A
+    block picks its free words greedily, then for each c ORs its picks'
+    radius d-1-c balls together into the blocks j ^ h above j, the h of
+    popcount c whose top set bit is clear in j; the blocks below j are
+    already decided.  Memory is the tables, the 2**n / 8 bytes of block
+    ints and, while a large input book is dilated, the bitset.
 
     At d = 2 and n > 12 the blocks are decided on the uint64 bitset in
     waves, all blocks of popcount 0, then 1, and so on.  A radius-1 ball

@@ -243,7 +243,7 @@ class TestExtend:
     def test_bounded_memory_at_n24(self):
         # a radius-11 ball holds 7.0 M of the 16.8 M words; the bitset has
         # 2**18 uint64 blocks, 2 MiB, and so have the 2**13 block ints; the
-        # ten ball tables of radius 1 to 10, 512 KiB of bits each, are built and counted
+        # twelve ball tables of radius 0 to 11, 512 KiB of bits each, are built and counted
         search._ball_table.cache_clear()
         tracemalloc.start()
         try:
@@ -371,8 +371,7 @@ class TestExtendKernels:
         a, size = n - b, 1 << b
         own = search._ball_table(b, radius)
         groups = search._offset_groups(a, radius)
-        balls = [search._ball_table(b, radius - c) if c < radius else None
-                 for c in range(1, min(radius, a) + 1)]
+        balls = [search._ball_table(b, radius - c) for c in range(1, min(radius, a) + 1)]
         reach = sum(math.comb(a, c) for c in range(min(radius, a) + 1))
         line = -(-(radius * (n - 6) << (n - 6)) // (16 * reach))
         dilated = counted_calls(monkeypatch, "_balls_bitset")
@@ -414,21 +413,34 @@ class TestExtendKernels:
             extended = np.concatenate((words, np.array(added, dtype=np.uint32)))
             words = extended[rng.random(len(extended)) < 0.5]
 
-    def test_table_matches_brute_force_ball(self):
+    @pytest.mark.parametrize(
+        "n, radius", [(n, r) for n in range(1, 9) for r in range(n + 2)] + [(12, 3)])
+    def test_table_matches_brute_force_ball(self, n, radius):
+        """Every entry up to n = 8, radius 0 and radii from n on among them,
+        and 40 entries of the (12, 3) table, whose build is measured."""
         search._ball_table.cache_clear()
         tracemalloc.start()
         try:
-            table = search._ball_table(12, 3)
+            table = search._ball_table(n, radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4,096 ints of 4,096 bits hold 2 MiB; one distance block adds 1.5 MiB
+        # at n = 12, 4,096 ints of 4,096 bits hold 2 MiB
         assert peak < 6 << 20
-        assert len(table) == 1 << 12
-        for x in np.random.default_rng(0).integers(0, 1 << 12, size=40).tolist():
-            # word y sits at bit 4095 - y, so the lowest word is the top bit
-            ball = sum(1 << (4095 - y) for y in range(1 << 12) if (x ^ y).bit_count() <= 3)
+        assert len(table) == 1 << n
+        words = range(1 << n)
+        xs = words if n <= 8 else np.random.default_rng(0).integers(0, 1 << n, size=40).tolist()
+        for x in xs:
+            # word y sits at bit 2**n - 1 - y, so the lowest word is the top bit
+            ball = sum(1 << ((1 << n) - 1 - y) for y in words if (x ^ y).bit_count() <= radius)
             assert table[x] == ball
+
+    def test_low_balls_match_brute_force(self):
+        table = search._low_balls()
+        assert table.shape == (64, 7) and table.dtype == np.uint64
+        for x in range(64):
+            for s in range(7):
+                assert int(table[x, s]) == sum(1 << y for y in range(64) if (x ^ y).bit_count() <= s)
 
     def test_balls_bitset_gathers_one_column_per_round(self):
         # the 2**19 even-weight words at n = 20
