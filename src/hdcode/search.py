@@ -301,14 +301,16 @@ def _block_extend(words: np.ndarray, n: int, d: int) -> list[int]:
     b = min(n, BLOCK_BITS)
     a, size, radius = n - b, 1 << b, d - 1
     full = (1 << size) - 1
-    own = _ball_table(b, radius)
+    # radii past b or a read the same tables: a radius-b ball is the whole block,
+    # and no offset has a popcount above a
+    own = _ball_table(b, min(radius, b))
     if not a:  # one block: the words' balls and the picks' are read from own alone
         blocked = 0
         for x in words.tolist():
             blocked |= own[x]
         return _greedy(blocked ^ full, own, size)
-    groups = _offset_groups(a, radius)
-    balls = [_ball_table(b, radius - c) for c in range(1, min(radius, a) + 1)]
+    groups = _offset_groups(a, min(radius, a))
+    balls = [_ball_table(b, min(radius - c, b)) for c in range(1, min(radius, a) + 1)]
     blocks = _input_blocks(words, n, b, radius, own, groups, balls)
     added: list[int] = []
     for j, block in enumerate(blocks):
@@ -334,17 +336,6 @@ def _low_balls() -> np.ndarray:
     table = np.stack(columns, axis=1)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=8)
-def _popcount_waves(n: int) -> tuple[np.ndarray, ...]:
-    """The block indices of 2**(n-6) blocks, one array per popcount from 0 to n - 6."""
-    high = np.arange(1 << (n - _LOW_BITS))
-    weight = np.bitwise_count(high)
-    waves = tuple(high[weight == w] for w in range(n - _LOW_BITS + 1))
-    for wave in waves:
-        wave.setflags(write=False)
-    return waves
 
 
 def _high_dilate(bits: np.ndarray) -> np.ndarray:
@@ -384,14 +375,17 @@ def _wave_extend(words: np.ndarray, n: int, d: int) -> np.ndarray:
     those the one above j has one more set bit.  So when every block of
     popcount below w is decided, the blocks of popcount w hold the free
     words the counter-order scan gives them, and each picks its words by
-    the lowest-first greedy, all of them together on uint64 arrays.
+    the lowest-first greedy, all of them together on uint64 arrays.  The
+    waves are one stable argsort of the block popcounts, split at each call.
     """
     bits = _balls_bitset(words, n, 1)
     # the own-block clear mask of the pick at each bit, and no-op entry 64 for a block with none
     clear = np.append(~_low_balls()[:, 1], np.uint64(_FULL))
     one = np.uint64(1)
     picked = np.zeros_like(bits)
-    for blocks in _popcount_waves(n):
+    weight = np.bitwise_count(np.arange(bits.size))
+    order = np.argsort(weight, kind="stable")
+    for blocks in np.split(order, np.cumsum(np.bincount(weight))[:-1]):
         free = ~bits[blocks]
         picks = np.zeros_like(free)
         while free.any():
@@ -424,7 +418,8 @@ def extend_codebook(book: Codebook, mask: int = 0) -> Codebook:
     bit_length, and a pick x clears its ball with free ^= free & ball[x].
     The balls within a block come from a table of 2**b ints per radius, 0
     too, 512 KiB at b = 11, built by bit swaps, not pairwise distances, and
-    cached, up to 14 at b = 11 (d = 24, n = 24).  Up to n = 11 there is one
+    cached; a radius from b on reads the radius-b table, the whole block, so a
+    width has at most b + 1 tables.  Up to n = 11 there is one
     block: the input words' balls are cleared from it, then the lowest free
     word is added and its ball cleared, until no word is free.
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -255,6 +256,22 @@ class TestExtend:
         book.validate()
         assert peak < 32 << 20
 
+    def test_tables_past_the_block_width_are_not_built(self):
+        # radius 23 at b = 11: own and the c = 1 ... 12 balls read the radius-11
+        # table, the whole block, and c = 13 the radius-10 table, 0.6 MiB each;
+        # one table per radius from 11 to 23 would retain 8.7 MiB
+        search._ball_table.cache_clear()
+        search._offset_groups.cache_clear()
+        tracemalloc.start()
+        try:
+            book = extend_codebook(Codebook(n=24, k=1, d=24))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert book.bitstrings() == ("0" * 24, "1" * 24)
+        assert search._ball_table.cache_info().currsize == 2
+        assert retained < 2 << 20
+
     @given(st.data())
     @settings(max_examples=40)
     def test_contains_input_and_is_maximal(self, data):
@@ -342,11 +359,35 @@ class TestExtendKernels:
             bits = data.draw(st.integers(1, book.n - 1))
             assert forced_extend(bits, book) == ball_scatter_extend(book)
 
+    @given(block_kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_block_kernel_asks_for_no_radius_past_the_widths(self, case):
+        """Ball tables are asked for at radius <= b and offset groups at
+        radius <= a, so a width has at most b + 1 tables, whatever d."""
+        book, mask, bits = case
+        n, calls = book.n, []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in "_ball_table", "_offset_groups":
+                original = getattr(search, name)
+
+                # wraps keeps the __wrapped__ that _low_balls reads
+                @functools.wraps(original)
+                def recorded(width, radius, name=name, original=original):
+                    calls.append((name, width, radius))
+                    return original(width, radius)
+
+                patch.setattr(search, name, recorded)
+            patch.setattr(search, "BLOCK_BITS", bits)
+            search._block_extend(book.values ^ np.uint32(mask), n, book.d)
+        widths = {"_ball_table": bits, "_offset_groups": n - bits}
+        assert calls and all(0 <= radius <= width == widths[name] for name, width, radius in calls)
+
     @pytest.mark.parametrize("a", range(9))
     def test_offset_groups_reach_exactly_the_blocks_above(self, a):
         """For block j the groups at its clear bits hold each offset h with
         1 <= popcount(h) <= radius and j ^ h > j once, and no other: each
-        pick's ball reaches every later block once and no earlier one."""
+        pick's ball reaches every later block once and no earlier one.  From
+        radius a on every offset is reached, so the groups stay the same."""
         for radius in range(a + 1):
             groups = search._offset_groups(a, radius)
             assert len(groups) == a
@@ -360,6 +401,7 @@ class TestExtendKernels:
                 expected = [h for h in range(1, 1 << a) if h.bit_count() <= radius and j ^ h > j]
                 assert sorted(h for _, h in reached) == expected
                 assert all(h.bit_count() == c for c, h in reached)
+        assert search._offset_groups(a, a + 1) == search._offset_groups(a, a + 2) == groups
 
     @pytest.mark.parametrize("n, radius", [(12, 1), (13, 2), (16, 3), (18, 5), (18, 6), (20, 3)])
     def test_input_blocks_match_scattered_balls(self, n, radius, monkeypatch):
